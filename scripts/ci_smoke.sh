@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI smoke suite — the exact invocations CI runs, runnable locally:
 #
-#   scripts/ci_smoke.sh [all|search|sweep|profile|mapper-equiv|backend-equiv|bench|remote|telemetry|chaos|cache-tier|coverage]
+#   scripts/ci_smoke.sh [all|search|sweep|profile|mapper-equiv|backend-equiv|bench|remote|telemetry|chaos|cache-tier|perfbench|coverage]
 #
 # `all` (the default) runs every smoke except `coverage`, which is its own
 # CI job.  Artifacts land in $SMOKE_DIR (default: a fresh temp dir); CI sets
@@ -371,6 +371,15 @@ PY
 }
 
 # --------------------------------------------------------------------------
+# 9. Benchmark harness self-test: perfbench's runner, child, layer tracer
+#    and output checks on short searches (not collected by tier-1).
+# --------------------------------------------------------------------------
+smoke_perfbench() {
+    log "perfbench smoke: benchmark harness self-test"
+    python -m pytest perfbench/selftest.py -q
+}
+
+# --------------------------------------------------------------------------
 # Coverage job: ratcheted floor + drift check.  The floor lives in ci.yml
 # (COV_FLOOR env of the coverage job); raise it as coverage grows, never
 # lower it.  The drift check fails the job when the floor lags measured
@@ -411,6 +420,7 @@ case "${1:-all}" in
     telemetry)    smoke_telemetry ;;
     chaos)        smoke_chaos ;;
     cache-tier)   smoke_cache_tier ;;
+    perfbench)    smoke_perfbench ;;
     coverage)     smoke_coverage ;;
     all)
         smoke_search
@@ -423,10 +433,11 @@ case "${1:-all}" in
         smoke_telemetry
         smoke_chaos
         smoke_cache_tier
+        smoke_perfbench
         log "all smokes passed; artifacts in $SMOKE_DIR"
         ;;
     *)
-        echo "usage: $0 [all|search|sweep|profile|mapper-equiv|backend-equiv|bench|remote|telemetry|chaos|cache-tier|coverage]" >&2
+        echo "usage: $0 [all|search|sweep|profile|mapper-equiv|backend-equiv|bench|remote|telemetry|chaos|cache-tier|perfbench|coverage]" >&2
         exit 2
         ;;
 esac

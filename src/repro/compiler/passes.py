@@ -12,7 +12,7 @@ where the ILP consumes simulator statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.compiler.softmax import SoftmaxCostFactors, softmax_cost_factors
 from repro.compiler.xla_fusion import FusionRegion, build_fusion_regions
@@ -31,12 +31,15 @@ class CompiledModel:
         regions: XLA-style fusion regions in execution order.
         softmax_factors: Cost descriptor for the selected softmax lowering.
         use_two_pass_softmax: Whether the two-pass lowering was selected.
+        region_plan: Per-region structural facts the simulator derives once
+            per compiled graph (built lazily by :mod:`repro.simulator.engine`).
     """
 
     graph: Graph
     regions: List[FusionRegion]
     softmax_factors: SoftmaxCostFactors
     use_two_pass_softmax: bool
+    region_plan: Optional[list] = field(default=None, repr=False, compare=False)
 
     @property
     def num_regions(self) -> int:

@@ -1,4 +1,4 @@
-"""FAST fusion: ILP-based tensor-to-Global-Memory assignment."""
+"""FAST fusion: tensor-to-Global-Memory assignment (greedy or exact ILP)."""
 
 from repro.fusion.blocking import (
     BlockedFusionResult,

@@ -1,4 +1,4 @@
-"""FAST fusion: ILP-based assignment of tensors to the Global Memory.
+"""FAST fusion: assignment of tensors to the Global Memory.
 
 FAST fusion (Section 5.5, Figure 8) is a secondary pass over XLA-generated
 fusion regions.  For every region it decides whether to keep the region's
@@ -12,11 +12,34 @@ consume capacity in every region's constraint.
 
 Two solver backends are provided:
 
-* ``"ilp"`` — the exact Figure 8 formulation solved with the in-repo
-  branch-and-bound MILP solver (:mod:`repro.fusion.ilp`).
 * ``"greedy"`` — a benefit-density heuristic with the same constraint
-  structure, used by default for large models and inside the search loop
-  where thousands of fusion problems must be solved per experiment.
+  structure.  The search loop runs it on every simulated trial, and
+  ``"auto"`` picks it for models with many regions.
+* ``"ilp"`` — the exact Figure 8 formulation solved with the in-repo
+  branch-and-bound MILP solver (:mod:`repro.fusion.ilp`); ``"auto"`` picks
+  it for small models.
+
+The greedy solver runs in two phases.  Phase 1 repeatedly pins the adjacent
+producer/consumer activation pair with the highest benefit density
+(cycles saved per byte; the lowest index wins ties).  Phase 2 then pins
+weights in the same way against the headroom that remains in *every* region.
+Rescanning every candidate before each move costs O(n^2) density
+evaluations in phase 1 and O(n^3) headroom checks in phase 2 (n regions).
+The solver instead updates both phases incrementally: each phase-1 move
+re-evaluates three pair densities plus one C-level ``max`` over a list, and
+phase 2 is one sort and one pass, O(n log n).  It makes exactly the moves of
+the full rescan, because of three invariants:
+
+1. A pair's density and feasibility read only the state of its own two
+   regions, and a move at pair i changes only regions i and i + 1.  So after
+   it only pairs i - 1, i and i + 1 need recomputing.
+2. In phase 2, a region's slack changes only when its own weights are pinned,
+   so every candidate's density is fixed once phase 1 ends.
+3. Headroom only shrinks as pinned weight bytes grow, and floating-point
+   subtraction is monotone.  A weight that does not fit never fits later, so
+   one pass in (-density, index) order makes the same picks as rescanning.
+   Also, "fits in every region" equals "fits in the region with the least
+   headroom", so one minimum replaces the scan over all regions.
 """
 
 from __future__ import annotations
@@ -220,93 +243,86 @@ class FastFusionOptimizer:
     # Greedy backend
     # ------------------------------------------------------------------
     def _solve_greedy(self, regions: List[RegionStats]) -> FusionResult:
+        """Benefit-density greedy, updated incrementally (see module docs)."""
         n = len(regions)
         capacity = float(self.gm_capacity_bytes)
+        t_min = [r.t_min_cycles for r in regions]
+        t_max = [r.t_max_cycles for r in regions]
+        free = [capacity - r.blocking_gm_bytes for r in regions]  # headroom before any pin
         pin_input = [False] * n
         pin_output = [False] * n
         pin_weights = [False] * n
         activation_usage = [0.0] * n  # own pinned activation bytes per region
-        weight_total = 0.0  # persistent pinned weight bytes
         saved = [0.0] * n
 
         def slack(i: int) -> float:
-            return max(0.0, self._region_time(regions[i], saved[i]) - regions[i].t_min_cycles)
+            low = t_min[i]
+            return max(0.0, max(low, t_max[i] - saved[i]) - low)
 
-        def headroom(i: int) -> float:
-            return capacity - regions[i].blocking_gm_bytes - activation_usage[i] - weight_total
+        # Phase 1: activation pinning.  Activations have short lifetimes (they
+        # only occupy the Global Memory between adjacent regions), so they are
+        # placed first; pinning them never blocks a later weight pin globally.
+        # ``density[i]`` is the benefit density of pinning pair (i, i + 1), or
+        # 0.0 when that move is unavailable.  It reads only regions i and
+        # i + 1, so a move at pair i invalidates pairs i - 1, i and i + 1.
+        pairable = [
+            self._pinnable_output(regions[i], regions)
+            and self._pinnable_input(regions[i + 1])
+            for i in range(n - 1)
+        ]
 
-        def weight_move_feasible(j: int) -> bool:
-            need = regions[j].weight_bytes
-            return all(headroom(i) >= need for i in range(n))
+        def pair_density(i: int) -> float:
+            if not pairable[i] or pin_output[i] or pin_input[i + 1]:
+                return 0.0
+            producer, consumer = regions[i], regions[i + 1]
+            benefit = min(producer.output_dram_cycles, slack(i)) + min(
+                consumer.input_dram_cycles, slack(i + 1)
+            )
+            feasible = (
+                free[i] - activation_usage[i] >= producer.output_bytes
+                and free[i + 1] - activation_usage[i + 1] >= consumer.input_bytes
+            )
+            if feasible and benefit > 0:
+                cost = max(producer.output_bytes, 1) + max(consumer.input_bytes, 1)
+                return benefit / cost
+            return 0.0
 
-        def apply_activation_move(i: int) -> None:
+        density = [pair_density(i) for i in range(n - 1)]
+        while density:
+            best = max(density)
+            if not best > 0.0:
+                break
+            i = density.index(best)  # first maximum: the lowest index wins ties
             pin_output[i] = True
             pin_input[i + 1] = True
             activation_usage[i] += regions[i].output_bytes
             activation_usage[i + 1] += regions[i + 1].input_bytes
             saved[i] += regions[i].output_dram_cycles
             saved[i + 1] += regions[i + 1].input_dram_cycles
-
-        def apply_weight_move(i: int) -> None:
-            nonlocal weight_total
-            pin_weights[i] = True
-            weight_total += regions[i].weight_bytes
-            saved[i] += regions[i].weight_dram_cycles
-
-        # Phase 1: activation pinning.  Activations have short lifetimes (they
-        # only occupy the Global Memory between adjacent regions), so they are
-        # placed first; pinning them never blocks a later weight pin globally.
-        improved = True
-        while improved:
-            improved = False
-            best_density = 0.0
-            best_index: Optional[int] = None
-            for i in range(n - 1):
-                region = regions[i]
-                if (
-                    pin_output[i]
-                    or not self._pinnable_output(region, regions)
-                    or pin_input[i + 1]
-                    or not self._pinnable_input(regions[i + 1])
-                ):
-                    continue
-                benefit = min(region.output_dram_cycles, slack(i)) + min(
-                    regions[i + 1].input_dram_cycles, slack(i + 1)
-                )
-                cost = max(region.output_bytes, 1) + max(regions[i + 1].input_bytes, 1)
-                feasible = (
-                    headroom(i) >= region.output_bytes
-                    and headroom(i + 1) >= regions[i + 1].input_bytes
-                )
-                if feasible and benefit > 0:
-                    density = benefit / cost
-                    if density > best_density:
-                        best_density = density
-                        best_index = i
-            if best_index is not None:
-                apply_activation_move(best_index)
-                improved = True
+            for j in range(max(0, i - 1), min(n - 1, i + 2)):
+                density[j] = pair_density(j)
 
         # Phase 2: weight pinning with the remaining (persistent) headroom.
-        improved = True
-        while improved:
-            improved = False
-            best_density = 0.0
-            best_index = None
-            for i in range(n):
-                region = regions[i]
-                if pin_weights[i] or region.weight_bytes <= 0:
-                    continue
-                benefit = min(region.weight_dram_cycles, slack(i))
-                if benefit <= 0 or not weight_move_feasible(i):
-                    continue
-                density = benefit / max(region.weight_bytes, 1)
-                if density > best_density:
-                    best_density = density
-                    best_index = i
-            if best_index is not None:
-                apply_weight_move(best_index)
-                improved = True
+        # Each candidate's density is fixed here (its slack changes only when
+        # it is pinned itself) and a candidate that does not fit never fits
+        # later (headroom only shrinks), so one pass in density order makes
+        # the same picks as re-scanning for the best feasible move each round.
+        candidates = []
+        for i, region in enumerate(regions):
+            if region.weight_bytes <= 0:
+                continue
+            benefit = min(region.weight_dram_cycles, slack(i))
+            if benefit > 0:
+                weight_density = benefit / max(region.weight_bytes, 1)
+                if weight_density > 0.0:
+                    candidates.append((-weight_density, i))
+        candidates.sort()
+        min_headroom = min(free[i] - activation_usage[i] for i in range(n))
+        weight_total = 0.0  # persistent pinned weight bytes
+        for _, i in candidates:
+            if min_headroom - weight_total >= regions[i].weight_bytes:
+                pin_weights[i] = True
+                weight_total += regions[i].weight_bytes
 
         decisions = [
             FusionDecision(pin_input[i], pin_output[i], pin_weights[i]) for i in range(n)

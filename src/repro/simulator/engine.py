@@ -4,7 +4,7 @@ The simulator evaluates a workload graph on a datapath configuration using
 the same three-stage flow as the paper (Figure 1): matrix ops are scheduled
 by the Timeloop-style mapper, vector ops are costed on the VPU, per-region
 pre-fusion performance is assembled, and — when the datapath has a Global
-Memory and fusion is enabled — the FAST fusion ILP assigns tensors to the
+Memory and fusion is enabled — the FAST fusion pass assigns tensors to the
 Global Memory and post-fusion performance is produced.
 
 Multi-core chips (the dual-core TPU-v3 baseline) are modeled by simulating a
@@ -134,8 +134,8 @@ def _compile_cached(graph: Graph, use_two_pass_softmax: bool) -> CompiledModel:
 
 
 def precompile_graph(graph: Graph, use_two_pass_softmax: bool = False) -> None:
-    """Warm the compiled-graph cache for one graph (worker/service warm-up)."""
-    _compile_cached(graph, use_two_pass_softmax)
+    """Warm the compiled-graph cache and region plan of one graph (worker warm-up)."""
+    _region_plan(_compile_cached(graph, use_two_pass_softmax))
 
 
 def clear_compiled_cache() -> None:
@@ -143,11 +143,158 @@ def clear_compiled_cache() -> None:
     _COMPILED_CACHE.clear()
 
 
+# ---------------------------------------------------------------------------
+# Region plans.  Everything about a fusion region that does not depend on the
+# trial — which ops are matrix ops, tensor byte sums, which matrix op's
+# traffic amplification applies to each external tensor, the fusion
+# predecessor — is derived once per compiled graph and stored on it, so
+# fork-started workers inherit the plans of every graph the parent warmed.
+# Per trial, ``Simulator._evaluate_region`` only combines op costs with it.
+# ---------------------------------------------------------------------------
+class _RegionPlan:
+    """Trial-independent facts about one fusion region.
+
+    ``ops`` pairs each op with its matrix/vector flag; ``matrix_bytes`` holds
+    each matrix op's (activation input, weight input, output) byte sums.
+    ``inputs`` and ``weights`` list ``(traffic, source)`` per external tensor:
+    ``source`` is the position of the last matrix op reading the tensor, whose
+    traffic amplification multiplies the tensor's size; without one,
+    ``traffic`` is already the tensor's fixed traffic.  ``output_traffic`` is
+    the fixed output traffic before partial-sum spills.
+    """
+
+    __slots__ = (
+        "index", "name", "op_names", "primary_op_type", "ops", "matrix_ops",
+        "anchor", "matrix_bytes", "inputs", "weights", "output_traffic",
+        "predecessor", "is_graph_output", "input_bytes", "weight_bytes",
+        "output_bytes",
+    )
+
+    def __init__(
+        self,
+        region: FusionRegion,
+        compiled: CompiledModel,
+        producer_region: Dict[str, int],
+    ) -> None:
+        graph = compiled.graph
+        tensors = graph.tensors
+        factors = compiled.softmax_factors
+        self.index = region.index
+        self.name = region.name
+        self.op_names = [op.name for op in region.ops]
+        self.primary_op_type = (
+            region.matrix_op.op_type
+            if region.matrix_op is not None
+            else _dominant_vector_type(region)
+        )
+        self.ops = [(op, is_matrix_op(op.op_type)) for op in region.ops]
+        self.matrix_ops = [op for op, is_matrix in self.ops if is_matrix]
+        self.anchor = None
+        if region.matrix_op is not None:
+            for position, op in enumerate(self.matrix_ops):
+                if op.name == region.matrix_op.name:
+                    self.anchor = position
+
+        input_source: Dict[str, int] = {}
+        weight_source: Dict[str, int] = {}
+        self.matrix_bytes = []
+        for position, op in enumerate(self.matrix_ops):
+            act_bytes = sum(
+                tensors[t].size_bytes
+                for t in op.inputs
+                if tensors[t].kind is TensorKind.ACTIVATION
+            )
+            w_bytes = sum(
+                tensors[t].size_bytes
+                for t in op.inputs
+                if tensors[t].kind in (TensorKind.WEIGHT, TensorKind.CONSTANT)
+            )
+            out_bytes = sum(tensors[t].size_bytes for t in op.outputs)
+            self.matrix_bytes.append((act_bytes, w_bytes, out_bytes))
+            for t in op.inputs:
+                if tensors[t].kind is TensorKind.ACTIVATION:
+                    input_source[t] = position
+                else:
+                    weight_source[t] = position
+
+        softmax_inputs = set()
+        softmax_outputs = set()
+        for op in region.ops:
+            if op.op_type is OpType.SOFTMAX:
+                softmax_inputs.update(op.inputs)
+                softmax_outputs.update(op.outputs)
+
+        self.inputs = []
+        for tname in region.input_tensors:
+            size = tensors[tname].size_bytes
+            if tname in input_source:
+                self.inputs.append((size, input_source[tname]))
+            elif tname in softmax_inputs:
+                self.inputs.append((size * factors.input_traffic_factor, None))
+            else:
+                self.inputs.append((size, None))
+        self.weights = [
+            (tensors[tname].size_bytes, weight_source.get(tname))
+            for tname in region.weight_tensors
+        ]
+        output_traffic = 0.0
+        for tname in region.output_tensors:
+            size = tensors[tname].size_bytes
+            if tname in softmax_outputs:
+                output_traffic += size * factors.output_traffic_factor
+            else:
+                output_traffic += size
+        self.output_traffic = output_traffic
+
+        self.predecessor = None
+        if region.input_tensors:
+            largest_input = max(
+                region.input_tensors, key=lambda t: tensors[t].size_bytes
+            )
+            self.predecessor = producer_region.get(largest_input)
+        self.is_graph_output = any(
+            t in graph.output_names for t in region.output_tensors
+        )
+        self.input_bytes = int(region.input_bytes(graph))
+        self.weight_bytes = int(region.weight_bytes(graph))
+        self.output_bytes = int(region.output_bytes(graph))
+
+
+def _build_region_plan(compiled: CompiledModel) -> List[_RegionPlan]:
+    producer_region: Dict[str, int] = {}
+    plan = []
+    for region in compiled.regions:
+        plan.append(_RegionPlan(region, compiled, producer_region))
+        for tensor_name in region.output_tensors:
+            producer_region[tensor_name] = region.index
+    return plan
+
+
+def _region_plan(compiled: CompiledModel) -> List[_RegionPlan]:
+    """The compiled graph's region plan, built on first use."""
+    plan = compiled.region_plan
+    if plan is None:
+        plan = compiled.region_plan = _build_region_plan(compiled)
+    return plan
+
+
+def _dominant_vector_type(region: FusionRegion) -> OpType:
+    """Primary op type of a region with no matrix op."""
+    if not region.ops:
+        return OpType.ELEMENTWISE_ADD
+    preferred = (OpType.SOFTMAX, OpType.LAYERNORM, OpType.POOLING, OpType.REDUCE)
+    for op_type in preferred:
+        for op in region.ops:
+            if op.op_type is op_type:
+                return op_type
+    return region.ops[0].op_type
+
+
 class Simulator:
     """Evaluates workloads on a datapath configuration.
 
     ``stage_seconds`` accumulates wall-clock time spent in the mapper, the
-    VPU cost model, and the fusion ILP across every ``simulate`` call on this
+    VPU cost model, and the fusion pass across every ``simulate`` call on this
     instance — the raw material for ``repro profile`` and
     :class:`~repro.core.fast.RuntimeStats` per-stage timings.
     """
@@ -245,6 +392,7 @@ class Simulator:
         core = self._core_config
         with _tracer().span("compile", category="simulate"):
             compiled = _compile_cached(graph, core.use_two_pass_softmax)
+            plan = _region_plan(compiled)
         dram_bpc = core.dram_bytes_per_cycle
 
         region_cache = self.region_cache
@@ -252,7 +400,7 @@ class Simulator:
         cached_entries: Optional[List[Optional[tuple]]] = None
         if region_cache is not None:
             key_base = self._region_key_base(graph, compiled)
-            region_keys = [key_base + (region.index,) for region in compiled.regions]
+            region_keys = [key_base + (region.index,) for region in plan]
             if region_cache.remote is not None:
                 # Cluster tier: resolve every locally-unserved key in one
                 # batched round trip before the accounted per-key lookups.
@@ -262,7 +410,7 @@ class Simulator:
         premapped: Optional[Dict[str, OpCost]] = None
         if self._graph_batched:
             gather_ops: List[Operation] = []
-            for position, region in enumerate(compiled.regions):
+            for position, region in enumerate(plan):
                 if cached_entries is not None and cached_entries[position] is not None:
                     continue
                 gather_ops.extend(region.matrix_ops)
@@ -276,11 +424,10 @@ class Simulator:
 
         region_perf: List[RegionPerformance] = []
         region_stats: List[RegionStats] = []
-        producer_region: Dict[str, int] = {}
         schedule_failed = False
 
         with _tracer().span("regions", category="simulate") as region_span:
-            for position, region in enumerate(compiled.regions):
+            for position, region in enumerate(plan):
                 entry = cached_entries[position] if cached_entries is not None else None
                 if entry is not None:
                     if entry[0] is None:
@@ -289,7 +436,7 @@ class Simulator:
                     record, stats = self._copy_region_entry(entry)
                 else:
                     record, stats = self._evaluate_region(
-                        compiled, region, dram_bpc, producer_region, premapped
+                        compiled, region, dram_bpc, premapped
                     )
                     if region_cache is not None:
                         if record is None:
@@ -304,9 +451,7 @@ class Simulator:
                         break
                 region_perf.append(record)
                 region_stats.append(stats)
-                for tensor_name in region.output_tensors:
-                    producer_region[tensor_name] = region.index
-            region_span.set_attr("regions", len(compiled.regions))
+            region_span.set_attr("regions", len(plan))
             if cached_entries is not None:
                 hits = sum(1 for entry in cached_entries if entry is not None)
                 region_span.set_attr("region_cache_hits", hits)
@@ -369,17 +514,18 @@ class Simulator:
             return None
         core = self._core_config
         compiled = _compile_cached(graph, core.use_two_pass_softmax)
+        plan = _region_plan(compiled)
         cached_flags: Optional[List[bool]] = None
         if self.region_cache is not None:
             key_base = self._region_key_base(graph, compiled)
-            gather_keys = [key_base + (region.index,) for region in compiled.regions]
+            gather_keys = [key_base + (region.index,) for region in plan]
             if self.region_cache.remote is not None:
                 self.region_cache.prefetch(gather_keys)
             cached_flags = [
                 self.region_cache.peek(key) is not None for key in gather_keys
             ]
         gather_ops: List[Operation] = []
-        for position, region in enumerate(compiled.regions):
+        for position, region in enumerate(plan):
             if cached_flags is not None and cached_flags[position]:
                 continue
             gather_ops.extend(region.matrix_ops)
@@ -415,12 +561,12 @@ class Simulator:
 
     @staticmethod
     def _copy_region_entry(entry: tuple) -> tuple:
-        """Fresh (RegionPerformance, RegionStats) copies of a cache entry.
+        """A cache entry with a fresh copy of its RegionPerformance.
 
         Records are mutated downstream (the fusion pass writes
         ``post_fusion_cycles`` / ``fusion`` onto them), so neither the cached
-        objects nor their mutable fields may ever alias a live simulation
-        result.
+        record nor its mutable fields may ever alias a live simulation
+        result.  The frozen RegionStats is shared as is.
         """
         record, stats = entry
         return (
@@ -431,16 +577,15 @@ class Simulator:
                 fusion=FusionDecision(),
                 post_fusion_cycles=record.pre_fusion_cycles,
             ),
-            replace(stats),
+            stats,
         )
 
     # ------------------------------------------------------------------
     def _evaluate_region(
         self,
         compiled: CompiledModel,
-        region: FusionRegion,
+        region: _RegionPlan,
         dram_bpc: float,
-        producer_region: Dict[str, int],
         premapped: Optional[Dict[str, OpCost]] = None,
     ):
         """Cost one fusion region; returns (RegionPerformance, RegionStats).
@@ -455,24 +600,21 @@ class Simulator:
         core = self._core_config
 
         matrix_costs: List[OpCost] = []
-        anchor_cost: Optional[OpCost] = None
         vector_costs: List[OpCost] = []
         op_busy_cycles: Dict[str, float] = {}
         op_cache = self.op_cache
         stage_seconds = self.stage_seconds
-        for op in region.ops:
-            if is_matrix_op(op.op_type):
-                started = time.perf_counter()
+        for op, is_matrix in region.ops:
+            if is_matrix:
                 cost = premapped.get(op.name) if premapped is not None else None
                 if cost is None:
+                    started = time.perf_counter()
                     cost = self.mapper.map_op(op, tensors)
-                stage_seconds["mapper"] += time.perf_counter() - started
+                    stage_seconds["mapper"] += time.perf_counter() - started
                 if cost.schedule_failed:
                     return None, None
                 matrix_costs.append(cost)
                 op_busy_cycles[op.name] = cost.compute_cycles
-                if region.matrix_op is not None and op.name == region.matrix_op.name:
-                    anchor_cost = cost
             else:
                 started = time.perf_counter()
                 cost = None
@@ -488,8 +630,10 @@ class Simulator:
                 stage_seconds["vector"] += time.perf_counter() - started
                 vector_costs.append(cost)
                 op_busy_cycles[op.name] = cost.vector_cycles
-        if anchor_cost is None and matrix_costs:
-            anchor_cost = matrix_costs[0]
+        if region.anchor is not None:
+            anchor_cost: Optional[OpCost] = matrix_costs[region.anchor]
+        else:
+            anchor_cost = matrix_costs[0] if matrix_costs else None
 
         compute_cycles = sum(c.compute_cycles for c in matrix_costs)
         vector_cycles = sum(c.vector_cycles for c in vector_costs)
@@ -497,68 +641,31 @@ class Simulator:
 
         # --- DRAM traffic attribution -----------------------------------
         # Each matrix op's mapping may re-read its operands (traffic
-        # amplification); record a per-tensor multiplier so region-external
-        # tensors feeding a matrix op are charged the amplified traffic.
-        matrix_inputs: set = set()
-        input_amp_by_tensor: Dict[str, float] = {}
-        weight_amp_by_tensor: Dict[str, float] = {}
-        for matrix_op, cost in zip(region.matrix_ops, matrix_costs):
-            matrix_inputs.update(matrix_op.inputs)
-            act_bytes = sum(
-                tensors[t].size_bytes
-                for t in matrix_op.inputs
-                if tensors[t].kind is TensorKind.ACTIVATION
+        # amplification); region-external tensors feeding a matrix op are
+        # charged the amplified traffic of the last matrix op reading them.
+        input_amp: List[float] = []
+        weight_amp: List[float] = []
+        for (act_bytes, w_bytes, _), cost in zip(region.matrix_bytes, matrix_costs):
+            input_amp.append(
+                max(1.0, cost.dram_input_bytes / act_bytes) if act_bytes else 1.0
             )
-            w_bytes = sum(
-                tensors[t].size_bytes
-                for t in matrix_op.inputs
-                if tensors[t].kind in (TensorKind.WEIGHT, TensorKind.CONSTANT)
+            weight_amp.append(
+                max(1.0, cost.dram_weight_bytes / w_bytes) if w_bytes else 1.0
             )
-            in_amp = max(1.0, cost.dram_input_bytes / act_bytes) if act_bytes else 1.0
-            w_amp = max(1.0, cost.dram_weight_bytes / w_bytes) if w_bytes else 1.0
-            for t in matrix_op.inputs:
-                if tensors[t].kind is TensorKind.ACTIVATION:
-                    input_amp_by_tensor[t] = in_amp
-                else:
-                    weight_amp_by_tensor[t] = w_amp
-
-        softmax_ops = {
-            op.name for op in region.ops if op.op_type is OpType.SOFTMAX
-        }
-        softmax_inputs = set()
-        softmax_outputs = set()
-        for op in region.ops:
-            if op.name in softmax_ops:
-                softmax_inputs.update(op.inputs)
-                softmax_outputs.update(op.outputs)
 
         input_traffic = 0.0
-        for tname in region.input_tensors:
-            size = tensors[tname].size_bytes
-            if tname in input_amp_by_tensor:
-                input_traffic += size * input_amp_by_tensor[tname]
-            elif tname in softmax_inputs:
-                input_traffic += size * compiled.softmax_factors.input_traffic_factor
-            else:
-                input_traffic += size
+        for traffic, source in region.inputs:
+            input_traffic += traffic if source is None else traffic * input_amp[source]
 
         weight_traffic = 0.0
-        for tname in region.weight_tensors:
-            size = tensors[tname].size_bytes
-            weight_traffic += size * weight_amp_by_tensor.get(tname, 1.0)
+        for traffic, source in region.weights:
+            weight_traffic += traffic if source is None else traffic * weight_amp[source]
 
-        output_traffic = 0.0
-        for tname in region.output_tensors:
-            size = tensors[tname].size_bytes
-            if tname in softmax_outputs:
-                output_traffic += size * compiled.softmax_factors.output_traffic_factor
-            else:
-                output_traffic += size
         # Partial-sum spill traffic from the matrix ops, if a mapping tiled
         # the reduction beyond on-chip capacity (counted even when the matrix
         # output itself stays inside the region).
-        for matrix_op, cost in zip(region.matrix_ops, matrix_costs):
-            matrix_out_bytes = sum(tensors[t].size_bytes for t in matrix_op.outputs)
+        output_traffic = region.output_traffic
+        for (_, _, matrix_out_bytes), cost in zip(region.matrix_bytes, matrix_costs):
             output_traffic += max(0.0, cost.dram_output_bytes - matrix_out_bytes)
 
         # Within a fused region the vector ops execute as the matrix op's
@@ -570,16 +677,11 @@ class Simulator:
         dram_cycles = total_traffic / dram_bpc if dram_bpc > 0 else 0.0
         pre_fusion_cycles = max(busy_cycles, dram_cycles)
 
-        primary_type = (
-            region.matrix_op.op_type
-            if region.matrix_op is not None
-            else self._dominant_vector_type(region)
-        )
         record = RegionPerformance(
             index=region.index,
             name=region.name,
-            op_names=[op.name for op in region.ops],
-            primary_op_type=primary_type,
+            op_names=list(region.op_names),
+            primary_op_type=region.primary_op_type,
             flops=flops,
             compute_cycles=compute_cycles,
             vector_cycles=vector_cycles,
@@ -594,17 +696,9 @@ class Simulator:
         )
 
         # --- Fusion statistics -------------------------------------------
-        predecessor = None
-        if region.input_tensors:
-            largest_input = max(
-                region.input_tensors, key=lambda t: tensors[t].size_bytes
-            )
-            predecessor = producer_region.get(largest_input)
         blocking_gm = 0
         if anchor_cost is not None and anchor_cost.tiling is not None:
-            onchip_without_gm = (
-                self._core_config.l1_total_bytes + self._core_config.l2_total_bytes
-            )
+            onchip_without_gm = core.l1_total_bytes + core.l2_total_bytes
             blocking_gm = max(0, anchor_cost.tiling.buffer_bytes(2) - onchip_without_gm)
 
         stats = RegionStats(
@@ -615,23 +709,11 @@ class Simulator:
             input_dram_cycles=input_traffic / dram_bpc if dram_bpc > 0 else 0.0,
             weight_dram_cycles=weight_traffic / dram_bpc if dram_bpc > 0 else 0.0,
             output_dram_cycles=output_traffic / dram_bpc if dram_bpc > 0 else 0.0,
-            input_bytes=int(region.input_bytes(graph)),
-            weight_bytes=int(region.weight_bytes(graph)),
-            output_bytes=int(region.output_bytes(graph)),
+            input_bytes=region.input_bytes,
+            weight_bytes=region.weight_bytes,
+            output_bytes=region.output_bytes,
             blocking_gm_bytes=blocking_gm,
-            predecessor=predecessor,
-            is_graph_output=any(t in graph.output_names for t in region.output_tensors),
+            predecessor=region.predecessor,
+            is_graph_output=region.is_graph_output,
         )
         return record, stats
-
-    @staticmethod
-    def _dominant_vector_type(region: FusionRegion) -> OpType:
-        """Primary op type of a region with no matrix op."""
-        if not region.ops:
-            return OpType.ELEMENTWISE_ADD
-        preferred = (OpType.SOFTMAX, OpType.LAYERNORM, OpType.POOLING, OpType.REDUCE)
-        for op_type in preferred:
-            for op in region.ops:
-                if op.op_type is op_type:
-                    return op_type
-        return region.ops[0].op_type

@@ -1,8 +1,16 @@
 """Tests for FAST fusion (the Figure 8 ILP and the greedy heuristic)."""
 
+from typing import List, Optional
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.fusion.fast_fusion import FastFusionOptimizer, FusionDecision, RegionStats
+from repro.hardware.search_space import DatapathSearchSpace
+from repro.simulator.engine import SimulationOptions, Simulator
+from repro.workloads.registry import available_workloads, build_workload
 
 
 def make_chain(num_regions, weight_bytes=0, act_bytes=100, dram_cycles=10.0, busy=5.0):
@@ -155,3 +163,213 @@ class TestSolverSelectionAndQuality:
         regions = make_chain(4)
         result = FastFusionOptimizer(gm_capacity_bytes=10_000, solver="greedy").optimize(regions)
         assert result.dram_bytes_saved(regions, dram_bytes_per_cycle=10.0) > 0
+
+
+# ---------------------------------------------------------------------------
+# Incremental greedy == full-rescan greedy, bit for bit
+# ---------------------------------------------------------------------------
+def rescan_greedy(optimizer: FastFusionOptimizer, regions: List[RegionStats]):
+    """Reference greedy: rescans every candidate each round (the O(n^3) form).
+
+    Kept only as the oracle for the incremental solver, which must make the
+    same moves in the same order and therefore the same decisions and floats.
+    """
+    n = len(regions)
+    capacity = float(optimizer.gm_capacity_bytes)
+    pin_input = [False] * n
+    pin_output = [False] * n
+    pin_weights = [False] * n
+    activation_usage = [0.0] * n  # own pinned activation bytes per region
+    weight_total = 0.0  # persistent pinned weight bytes
+    saved = [0.0] * n
+
+    def slack(i: int) -> float:
+        return max(0.0, optimizer._region_time(regions[i], saved[i]) - regions[i].t_min_cycles)
+
+    def headroom(i: int) -> float:
+        return capacity - regions[i].blocking_gm_bytes - activation_usage[i] - weight_total
+
+    def weight_move_feasible(j: int) -> bool:
+        need = regions[j].weight_bytes
+        return all(headroom(i) >= need for i in range(n))
+
+    def apply_activation_move(i: int) -> None:
+        pin_output[i] = True
+        pin_input[i + 1] = True
+        activation_usage[i] += regions[i].output_bytes
+        activation_usage[i + 1] += regions[i + 1].input_bytes
+        saved[i] += regions[i].output_dram_cycles
+        saved[i + 1] += regions[i + 1].input_dram_cycles
+
+    def apply_weight_move(i: int) -> None:
+        nonlocal weight_total
+        pin_weights[i] = True
+        weight_total += regions[i].weight_bytes
+        saved[i] += regions[i].weight_dram_cycles
+
+    improved = True
+    while improved:
+        improved = False
+        best_density = 0.0
+        best_index: Optional[int] = None
+        for i in range(n - 1):
+            region = regions[i]
+            if (
+                pin_output[i]
+                or not optimizer._pinnable_output(region, regions)
+                or pin_input[i + 1]
+                or not optimizer._pinnable_input(regions[i + 1])
+            ):
+                continue
+            benefit = min(region.output_dram_cycles, slack(i)) + min(
+                regions[i + 1].input_dram_cycles, slack(i + 1)
+            )
+            cost = max(region.output_bytes, 1) + max(regions[i + 1].input_bytes, 1)
+            feasible = (
+                headroom(i) >= region.output_bytes
+                and headroom(i + 1) >= regions[i + 1].input_bytes
+            )
+            if feasible and benefit > 0:
+                density = benefit / cost
+                if density > best_density:
+                    best_density = density
+                    best_index = i
+        if best_index is not None:
+            apply_activation_move(best_index)
+            improved = True
+
+    improved = True
+    while improved:
+        improved = False
+        best_density = 0.0
+        best_index = None
+        for i in range(n):
+            region = regions[i]
+            if pin_weights[i] or region.weight_bytes <= 0:
+                continue
+            benefit = min(region.weight_dram_cycles, slack(i))
+            if benefit <= 0 or not weight_move_feasible(i):
+                continue
+            density = benefit / max(region.weight_bytes, 1)
+            if density > best_density:
+                best_density = density
+                best_index = i
+        if best_index is not None:
+            apply_weight_move(best_index)
+            improved = True
+
+    decisions = [
+        FusionDecision(pin_input[i], pin_output[i], pin_weights[i]) for i in range(n)
+    ]
+    return optimizer._finalize(regions, decisions, status="greedy")
+
+
+def assert_same_solution(regions: List[RegionStats], capacity: int) -> None:
+    optimizer = FastFusionOptimizer(gm_capacity_bytes=capacity, solver="greedy")
+    expected = rescan_greedy(optimizer, list(regions))
+    actual = optimizer.optimize(regions)
+    assert actual.decisions == expected.decisions
+    assert [c.hex() for c in actual.region_cycles] == [c.hex() for c in expected.region_cycles]
+    assert actual.total_cycles_post.hex() == expected.total_cycles_post.hex()
+    assert actual.pinned_weight_bytes == expected.pinned_weight_bytes
+    assert actual.pinned_activation_bytes == expected.pinned_activation_bytes
+
+
+# Few distinct values so densities tie often; zeros so tensors can be empty.
+_cycles = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 10.0, 100.0]),
+    st.floats(min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False),
+)
+_bytes = st.one_of(
+    st.sampled_from([0, 1, 64, 100, 200, 4096]),
+    st.integers(min_value=0, max_value=1 << 22),
+)
+
+
+@st.composite
+def fusion_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    capacity = draw(st.one_of(
+        st.sampled_from([1, 100, 150, 256, 1000, 5000]),
+        st.integers(min_value=1, max_value=1 << 24),
+    ))
+    regions = []
+    for i in range(n):
+        busy = draw(_cycles)
+        t_max = busy + draw(_cycles)
+        predecessor = None
+        if i > 0:
+            predecessor = draw(st.sampled_from(
+                [None, i - 1, i - 1, draw(st.integers(min_value=0, max_value=i - 1))]
+            ))
+        regions.append(RegionStats(
+            index=i,
+            name=f"r{i}",
+            busy_cycles=busy,
+            t_max_cycles=t_max,
+            input_dram_cycles=draw(_cycles),
+            weight_dram_cycles=draw(_cycles),
+            output_dram_cycles=draw(_cycles),
+            input_bytes=draw(_bytes),
+            weight_bytes=draw(_bytes),
+            output_bytes=draw(_bytes),
+            blocking_gm_bytes=draw(st.one_of(
+                st.sampled_from([0, 0, capacity // 2, capacity, 10 * capacity]),
+                st.integers(min_value=0, max_value=1 << 24),
+            )),
+            predecessor=predecessor,
+            is_graph_output=draw(st.booleans()),
+        ))
+    return regions, capacity
+
+
+class TestIncrementalGreedyEquivalence:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fusion_inputs())
+    def test_random_inputs(self, case):
+        regions, capacity = case
+        assert_same_solution(regions, capacity)
+
+    def test_density_ties_pick_lowest_index(self):
+        regions = make_chain(8, weight_bytes=50)
+        for capacity in (100, 150, 200, 250, 400, 10_000):
+            assert_same_solution(regions, capacity)
+
+    def test_real_workloads_on_random_datapaths(self, monkeypatch):
+        """Fusion inputs captured from every registered workload."""
+        captured = []
+        original = FastFusionOptimizer.optimize
+
+        def capture(optimizer, regions):
+            captured.append((optimizer.gm_capacity_bytes, list(regions)))
+            return original(optimizer, regions)
+
+        monkeypatch.setattr(FastFusionOptimizer, "optimize", capture)
+        space = DatapathSearchSpace()
+        rng = np.random.default_rng(11)
+        configs = []
+        while len(configs) < 3:
+            params = {
+                spec.name: spec.choices[int(rng.integers(len(spec.choices)))]
+                for spec in space.specs
+            }
+            params["l3_global_buffer_mib"] = [4, 16, 128][len(configs)]
+            try:
+                configs.append(space.to_config(params))
+            except Exception:
+                continue  # invalid combination; draw again
+        options = SimulationOptions(
+            enable_fast_fusion=True, fusion_solver="greedy",
+            region_cache_enabled=False, op_cache_enabled=False,
+        )
+        for workload in available_workloads():
+            graph = build_workload(workload, batch_size=1)
+            for config in configs:
+                Simulator(config, options).simulate(graph)
+        assert len(captured) >= len(available_workloads())
+        monkeypatch.undo()
+        for capacity, regions in captured:
+            # The datapath's own capacity plus tighter ones that bind.
+            for scale in (1, 8, 64):
+                assert_same_solution(regions, max(1, capacity // scale))

@@ -178,3 +178,123 @@ class TestScheduleFailures:
         result = Simulator(config).simulate(tiny_graph)
         assert result.schedule_failed
         assert result.qps == 0.0
+
+
+class TestRegionPlan:
+    """The per-graph region plan is a pure cache of structural facts."""
+
+    @staticmethod
+    def _canonical(result):
+        import dataclasses
+        import json
+
+        def encode(value):
+            if isinstance(value, float):
+                return value.hex()
+            if isinstance(value, dict):
+                return {str(k): encode(v) for k, v in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [encode(v) for v in value]
+            return value
+
+        payload = {
+            "regions": [dataclasses.asdict(r) for r in result.regions],
+            "fusion": dataclasses.asdict(result.fusion_result)
+            if result.fusion_result is not None
+            else None,
+            "failed": result.schedule_failed,
+        }
+        return json.dumps(encode(payload), sort_keys=True, default=str)
+
+    @staticmethod
+    def _reference_options():
+        return SimulationOptions(
+            fusion_solver="greedy",
+            vectorized_mapper=False,
+            op_cache_enabled=False,
+            region_cache_enabled=False,
+        )
+
+    def test_results_identical_with_plan_built_or_rebuilt(self, fast_large_config):
+        from repro.simulator import engine
+        from repro.workloads.registry import available_workloads, build_workload
+
+        configs = [
+            fast_large_config,
+            fast_large_config.evolve(l3_global_buffer_mib=4),
+            DatapathConfig(l3_global_buffer_mib=64, enable_fast_fusion=True),
+        ]
+        for workload in available_workloads():
+            graph = build_workload(workload, batch_size=1)
+            for config in configs:
+                simulator = Simulator(config, self._reference_options())
+                first = self._canonical(simulator.simulate(graph))
+                reused = self._canonical(simulator.simulate(graph))
+                engine._compile_cached(graph, config.use_two_pass_softmax).region_plan = None
+                rebuilt = self._canonical(simulator.simulate(graph))
+                assert first == reused == rebuilt, (workload, config)
+
+    def test_plan_built_once_per_compiled_graph(self, monkeypatch, small_config, tiny_graph):
+        from repro.simulator import engine
+        from repro.workloads.registry import build_workload
+
+        builds = []
+        original = engine._build_region_plan
+        monkeypatch.setattr(
+            engine, "_build_region_plan",
+            lambda compiled: builds.append(compiled) or original(compiled),
+        )
+        engine.clear_compiled_cache()
+        other = build_workload("mobilenet-v2", batch_size=1)
+        for config in (small_config, small_config.evolve(l3_global_buffer_mib=8)):
+            simulator = Simulator(config, self._reference_options())
+            for _ in range(3):
+                simulator.simulate(tiny_graph)
+                simulator.simulate(other)
+        engine.precompile_graph(other)
+        assert len(builds) == 2
+        assert {id(compiled.graph) for compiled in builds} == {id(tiny_graph), id(other)}
+
+    def test_fork_started_workers_reuse_parent_plans(self, monkeypatch, tmp_path):
+        import multiprocessing
+        import os
+
+        from repro.core.fast import FASTSearch
+        from repro.core.problem import ObjectiveKind, SearchProblem
+        from repro.core.trial import TrialEvaluator
+        from repro.reporting.serialization import trial_metrics_to_dict
+        from repro.runtime.executor import ParallelExecutor
+        from repro.simulator import engine
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("plans are inherited only by fork-started workers")
+        problem = SearchProblem(["mobilenet-v2"], ObjectiveKind.PERF_PER_TDP)
+        options = SimulationOptions(
+            fusion_solver="greedy", op_cache_enabled=False, region_cache_enabled=False
+        )
+
+        def run(executor=None):
+            evaluator = TrialEvaluator(problem, simulation_options=options)
+            search = FASTSearch(
+                problem, optimizer="lcs", seed=3, evaluator=evaluator, executor=executor
+            )
+            return search.run(num_trials=12, batch_size=4)
+
+        # The parent warms what the pool initializer warms, then builds the
+        # plan of every graph the search touches.
+        TrialEvaluator(problem, simulation_options=options).warm_caches()
+        serial = run()
+        log = tmp_path / "builds.txt"
+        original = engine._build_region_plan
+
+        def logged(compiled):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return original(compiled)
+
+        monkeypatch.setattr(engine, "_build_region_plan", logged)
+        with ParallelExecutor(num_workers=2) as executor:
+            parallel = run(executor)
+        history = lambda r: [trial_metrics_to_dict(m) for m in r.history]  # noqa: E731
+        assert history(parallel) == history(serial)
+        assert not log.exists(), log.read_text()
