@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.hardware.datapath import BufferConfig, DatapathConfig
 from repro.hardware.memory import MemoryHierarchy
-from repro.mapping.backend import ArrayBackend, backend_cache_tag, get_backend
 from repro.mapping.costmodel import OpCost
 from repro.mapping.dataflow import Dataflow, SpatialMapping, spatial_mapping
 from repro.mapping.loopnest import MatrixProblem, extract_problem
@@ -119,9 +118,6 @@ class MapperOptions:
     ``vectorize`` selects the array candidate-sweep engine; the scalar loop is
     kept as the reference implementation (``vectorize=False``) and the two are
     bit-for-bit equivalent — same chosen tiling, cycles, and DRAM bytes.
-    ``backend`` names the array library the vectorized sweep runs on (see
-    :mod:`repro.mapping.backend`); NumPy is the default and the only backend
-    guaranteed bitwise-equal to the scalar reference.
     """
 
     def __init__(
@@ -130,13 +126,11 @@ class MapperOptions:
         max_tiling_candidates: int = 48,
         padding_max_overhead: float = 0.2,
         vectorize: bool = True,
-        backend: str = "numpy",
     ) -> None:
         self.dataflows = dataflows
         self.max_tiling_candidates = max_tiling_candidates
         self.padding_max_overhead = padding_max_overhead
         self.vectorize = vectorize
-        self.backend = backend
 
 
 class Mapper:
@@ -166,7 +160,6 @@ class Mapper:
         self.options = options or MapperOptions()
         self.op_cache = op_cache
         self._cache: Dict[Tuple, OpCost] = {}
-        self._backend_obj: Optional[ArrayBackend] = None
         self._config_key = self.mapping_config_key() if op_cache is not None else None
         # Everything _PreparedProblem depends on besides the problem itself.
         self._prep_key = (
@@ -186,17 +179,11 @@ class Mapper:
         scratchpad layout (schedulability), blocking capacity, DRAM bandwidth
         per cycle (candidate ranking), and the mapper options themselves.
         ``vectorize`` is deliberately excluded: both engines are bit-for-bit
-        equivalent, so their results are interchangeable.  The array backend
-        is likewise a perf-only choice and is excluded *unless* it is
-        float-divergent and unverified (see
-        :func:`repro.mapping.backend.backend_cache_tag`), in which case a
-        distinguishing tag is appended so its entries can never poison the
-        shared/persistent stores — the tag is decided once, at Mapper
-        construction, from the process's verification state at that moment.
+        equivalent, so their results are interchangeable.
         """
         config = self.config
         options = self.options
-        key = (
+        return (
             config.systolic_array_x,
             config.systolic_array_y,
             config.num_pes,
@@ -210,56 +197,23 @@ class Mapper:
             options.max_tiling_candidates,
             options.padding_max_overhead,
         )
-        tag = backend_cache_tag(getattr(options, "backend", "numpy") or "numpy")
-        if tag is not None:
-            key = key + (tag,)
-        return key
-
-    def _resolve_backend(self) -> Optional[ArrayBackend]:
-        """The ArrayBackend for the vectorized sweep (``None`` == NumPy)."""
-        name = getattr(self.options, "backend", "numpy") or "numpy"
-        if name == "numpy":
-            return None
-        if self._backend_obj is None:
-            self._backend_obj = get_backend(name)
-        return self._backend_obj
 
     # ------------------------------------------------------------------
     def map_op(self, op: Operation, tensors: Dict[str, Tensor]) -> OpCost:
-        """Map a matrix op; returns its cost (cached by problem signature)."""
-        if not is_matrix_op(op.op_type):
-            raise ValueError(f"mapper only handles matrix ops, got {op.op_type}")
-        problem = _memoized_problem(op, tensors)
-        key = self._problem_key(problem)
-        cached = self._cache.get(key)
-        if cached is not None:
-            # Re-label the cached cost for this op name.
-            return OpCost(**{**cached.__dict__, "op_name": op.name, "op_type": op.op_type})
-        if self.op_cache is not None:
-            shared = self.op_cache.get((self._config_key, key))
-            if shared is not None:
-                self._cache[key] = shared
-                return OpCost(
-                    **{**shared.__dict__, "op_name": op.name, "op_type": op.op_type}
-                )
-        cost = self._map_problem(op, problem)
-        self._cache[key] = cost
-        if self.op_cache is not None:
-            self.op_cache.put((self._config_key, key), cost)
-        return cost
+        """Map one matrix op; returns its cost (cached by problem signature)."""
+        return self.map_ops_batch((op,), tensors)[op.name]
 
     def map_ops_batch(
         self, ops: Sequence[Operation], tensors: Dict[str, Tensor]
     ) -> Dict[str, OpCost]:
         """Map many matrix ops in one batched candidate sweep.
 
-        The cross-op twin of :meth:`map_op`: every op that misses both the
-        per-trial memo and the shared op cache contributes its candidate grid
-        to ONE stacked NumPy pass (:func:`estimate_traffic_batch_ops`), and
-        the results land in the same caches :meth:`map_op` uses — so a later
-        per-op call sees exactly what it would have computed itself.  Returns
-        ``{op.name: OpCost}`` with each cost labeled for its op, bit-for-bit
-        equal to mapping the ops one at a time.
+        Every op that misses both the per-trial memo and the shared op cache
+        contributes its candidate grid to ONE stacked NumPy pass
+        (:func:`estimate_traffic_batch_ops`) — or, with ``vectorize=False``,
+        to the scalar reference loop — and the results land in both caches.
+        Returns ``{op.name: OpCost}`` with each cost labeled for its op,
+        bit-for-bit equal to mapping the ops one at a time.
         """
         slots: List[Tuple[Operation, Tuple]] = []
         pending: List[Tuple[Tuple, Operation, MatrixProblem]] = []
@@ -286,9 +240,11 @@ class Mapper:
                 num_ops=len(ops),
                 num_pending=len(pending),
             ):
-                costs = self._map_problems_batch(
-                    [(op, problem) for _, op, problem in pending]
-                )
+                items = [(op, problem) for _, op, problem in pending]
+                if self.options.vectorize:
+                    costs = self._map_problems_batch(items)
+                else:
+                    costs = [self._map_problem(op, problem) for op, problem in items]
             for (key, _, _), cost in zip(pending, costs):
                 self._cache[key] = cost
                 if self.op_cache is not None:
@@ -299,108 +255,6 @@ class Mapper:
             )
             for op, key in slots
         }
-
-    @staticmethod
-    def map_trials_batch(
-        entries: Sequence[Tuple["Mapper", Sequence[Operation], Dict[str, Tensor]]]
-    ) -> List[Dict[str, OpCost]]:
-        """Map many trials' ops in one stacked trials x ops x tilings pass.
-
-        The cross-*trial* twin of :meth:`map_ops_batch`: ``entries`` holds
-        ``(mapper, ops, tensors)`` per trial (a mapper may appear in several
-        entries — one per workload graph).  Every problem that misses its
-        mapper's caches joins ONE stacked candidate sweep, deduplicated by
-        ``(mapping config key, problem key)`` so identical design points
-        across trials are priced once, then partitioned by (dataflow set,
-        backend) — the two axes the stacked selection cannot mix — with
-        per-candidate blocking capacities and per-slot DRAM bandwidths
-        carrying the remaining config differences through the shared pass.
-        Results scatter into exactly the caches :meth:`map_op` /
-        :meth:`map_ops_batch` use, bit-for-bit equal to per-trial mapping,
-        and the return value is one ``{op.name: OpCost}`` dict per entry.
-        """
-        per_entry_slots: List[List[Tuple[Operation, Tuple]]] = []
-        # group key -> [prep owner mapper, first op, raw problem,
-        #               [(mapper, problem_key), ...] subscribers]
-        groups: Dict[Tuple, List] = {}
-        seen_pending = set()
-        for mapper, ops, tensors in entries:
-            slots: List[Tuple[Operation, Tuple]] = []
-            pending: List[Tuple[Tuple, Operation, MatrixProblem]] = []
-            pending_keys = set()
-            for op in ops:
-                if not is_matrix_op(op.op_type):
-                    raise ValueError(
-                        f"mapper only handles matrix ops, got {op.op_type}"
-                    )
-                problem = _memoized_problem(op, tensors)
-                key = mapper._problem_key(problem)
-                slots.append((op, key))
-                if key in mapper._cache or key in pending_keys:
-                    continue
-                if mapper.op_cache is not None:
-                    shared = mapper.op_cache.get((mapper._config_key, key))
-                    if shared is not None:
-                        mapper._cache[key] = shared
-                        continue
-                pending_keys.add(key)
-                pending.append((key, op, problem))
-            per_entry_slots.append(slots)
-            if not pending:
-                continue
-            if not mapper._schedulable():
-                # Same short-circuit _map_problems_batch takes, cached the
-                # same way map_ops_batch caches its results.
-                for key, op, problem in pending:
-                    cost = OpCost(
-                        op_name=op.name,
-                        op_type=op.op_type,
-                        flops=problem.flops,
-                        padded_flops=problem.flops,
-                        schedule_failed=True,
-                    )
-                    mapper._cache[key] = cost
-                    if mapper.op_cache is not None:
-                        mapper.op_cache.put((mapper._config_key, key), cost)
-                continue
-            mapping_key = (
-                mapper._config_key
-                if mapper._config_key is not None
-                else mapper.mapping_config_key()
-            )
-            for key, op, problem in pending:
-                group_key = (mapping_key, key)
-                group = groups.get(group_key)
-                if group is None:
-                    group = [mapper, op, problem, []]
-                    groups[group_key] = group
-                pending_id = (id(mapper), key)
-                if pending_id not in seen_pending:
-                    seen_pending.add(pending_id)
-                    group[3].append((mapper, key))
-
-        if groups:
-            with _tracer().span(
-                "map_trials_batch",
-                category="mapper",
-                num_trials=len(entries),
-                num_pending=len(groups),
-            ):
-                _map_trial_groups(list(groups.values()))
-
-        return [
-            {
-                op.name: OpCost(
-                    **{
-                        **mapper._cache[key].__dict__,
-                        "op_name": op.name,
-                        "op_type": op.op_type,
-                    }
-                )
-                for op, key in slots
-            }
-            for (mapper, ops, tensors), slots in zip(entries, per_entry_slots)
-        ]
 
     # ------------------------------------------------------------------
     def _problem_key(self, problem: MatrixProblem) -> Tuple:
@@ -436,6 +290,7 @@ class Mapper:
         )
 
     def _map_problem(self, op: Operation, raw_problem: MatrixProblem) -> OpCost:
+        """Map one lowered problem, uncached, on the configured engine."""
         if self.options.vectorize:
             return self._map_problems_batch([(op, raw_problem)])[0]
         config = self.config
@@ -617,9 +472,13 @@ class Mapper:
             k_all,
             self.hierarchy.blocking_capacity_bytes,
             _DTYPE_BYTES,
-            backend=self._resolve_backend(),
         )
-        selections = self._select_batch(preps, arrays, op_index)
+        selections = _select_batch(
+            [tuple(plan.rounded_cycles for plan in prep.per_dataflow) for prep in preps],
+            self.config.dram_bytes_per_cycle,
+            arrays,
+            op_index,
+        )
 
         costs: List[OpCost] = []
         for (op, raw_problem), prep, selection in zip(items, preps, selections):
@@ -655,22 +514,6 @@ class Mapper:
                 )
             )
         return costs
-
-    def _select_batch(self, preps, arrays, op_index):
-        """Segmented lexicographic argmin over the stacked candidate axis.
-
-        Delegates to the slot-based :func:`_select_batch_slots` with this
-        mapper's DRAM bandwidth on every slot — the per-trial view of the
-        selection the trial-batched path runs across many configs at once.
-        """
-        dram_bpc = self.config.dram_bytes_per_cycle
-        slots = [
-            _SelectionSlot(
-                tuple(plan.rounded_cycles for plan in prep.per_dataflow), dram_bpc
-            )
-            for prep in preps
-        ]
-        return _select_batch_slots(slots, arrays, op_index)
 
     # ------------------------------------------------------------------
     def _compute_cycles(self, problem: MatrixProblem, mapping: SpatialMapping) -> float:
@@ -710,26 +553,24 @@ class Mapper:
         return min(1.0, raw_problem.macs / (compute_cycles * peak_macs_per_cycle))
 
 
-class _SelectionSlot(NamedTuple):
-    """Per-problem inputs to the stacked candidate selection.
-
-    One slot per problem in the flat candidate axis: the rounded compute
-    cycles of each dataflow plan (position-aligned across every slot in one
-    selection call) and the DRAM bytes/cycle of the *owning* datapath config —
-    per-slot because the trial-batched path stacks problems from different
-    configs into one pass.
-    """
-
-    rounded_cycles: Tuple[float, ...]
-    dram_bpc: float
+def _rounded_dram_cycles(totals: np.ndarray, dram_bpc: float) -> List[float]:
+    """``round(total / dram_bpc, 3)`` per candidate, as the scalar loop does."""
+    if dram_bpc > 0:
+        return [round(d, 3) for d in (totals / dram_bpc).tolist()]
+    return [0.0] * totals.shape[0]
 
 
-def _select_batch_slots(
-    slots: Sequence[_SelectionSlot], arrays, op_index: np.ndarray
+def _select_batch(
+    rounded_cycles: Sequence[Tuple[float, ...]],
+    dram_bpc: float,
+    arrays,
+    op_index: np.ndarray,
 ) -> List[Optional[Tuple]]:
     """Segmented lexicographic argmin over the stacked candidate axis.
 
-    For every problem and dataflow the scalar loop ranks candidates by
+    ``rounded_cycles`` holds, per problem, the rounded compute cycles of each
+    dataflow plan (position-aligned across problems).  For every problem and
+    dataflow the scalar loop ranks candidates by
     ``(round(max(cc, dram), 3), rint(total_bytes), buffer_bytes)`` with
     strict-< first-wins tie-breaking.  All three components are exact
     reproductions here: ``round(x, 3)`` stays Python's correctly-rounded
@@ -739,7 +580,7 @@ def _select_batch_slots(
     candidate in the per-op enumeration order.  Returns, per problem,
     ``None`` (nothing fits) or ``(rank, dataflow_position, flat_index)``.
     """
-    num_problems = len(slots)
+    num_problems = len(rounded_cycles)
     selections: List[Optional[Tuple]] = [None] * num_problems
     fit_flat = np.flatnonzero(arrays.fits)
     if fit_flat.size == 0:
@@ -748,7 +589,7 @@ def _select_batch_slots(
         # Single-problem fast path: a Python scan over the (few) fitting
         # candidates beats segmented NumPy reductions at this size.  Same
         # ranking, same first-wins tie-breaking, same result.
-        selections[0] = _select_single_slot(slots[0], arrays, fit_flat)
+        selections[0] = _select_single(rounded_cycles[0], dram_bpc, arrays, fit_flat)
         return selections
     op_fit = op_index[fit_flat]
     counts = np.bincount(op_fit, minlength=num_problems)
@@ -765,33 +606,17 @@ def _select_batch_slots(
     # np.rint rounds half-to-even exactly like Python's round(float) -> int.
     rounded_totals = np.rint(totals)
     buffers = arrays.buffer_bytes[fit_flat]
-    bpc_by_problem = np.array([slot.dram_bpc for slot in slots], dtype=np.float64)
-    if np.all(bpc_by_problem > 0):
-        # round() is monotone, so round(max(cc, dram), 3) equals
-        # max(round(cc, 3), round(dram, 3)) — rounding the shared DRAM
-        # cycles once lets every dataflow reuse them.  Dividing by the
-        # gathered per-candidate bandwidth is the identical IEEE division
-        # the scalar path performs with its config's scalar.
-        rounded_dram = np.array(
-            [round(d, 3) for d in (totals / bpc_by_problem[op_fit]).tolist()],
-            dtype=np.float64,
-        )
-    else:
-        bpc_fit = bpc_by_problem[op_fit]
-        safe_bpc = np.where(bpc_fit > 0, bpc_fit, 1.0)
-        dram = np.where(bpc_fit > 0, totals / safe_bpc, 0.0)
-        rounded_dram = np.array(
-            [round(d, 3) for d in dram.tolist()], dtype=np.float64
-        )
+    # round() is monotone, so round(max(cc, dram), 3) equals
+    # max(round(cc, 3), round(dram, 3)) — rounding the shared DRAM cycles
+    # once lets every dataflow reuse them.
+    rounded_dram = np.array(_rounded_dram_cycles(totals, dram_bpc), dtype=np.float64)
     positions = np.arange(fit_flat.shape[0], dtype=np.int64)
     int_sentinel = np.iinfo(np.int64).max
     active_problems = np.flatnonzero(active).tolist()
 
-    num_dataflows = len(slots[0].rounded_cycles)
-    for dataflow_position in range(num_dataflows):
+    for dataflow_position in range(len(rounded_cycles[0])):
         rounded_cc = np.array(
-            [slot.rounded_cycles[dataflow_position] for slot in slots],
-            dtype=np.float64,
+            [cycles[dataflow_position] for cycles in rounded_cycles], dtype=np.float64
         )
         objective = np.maximum(rounded_cc[op_fit], rounded_dram)
         seg_obj = np.minimum.reduceat(objective, starts)
@@ -823,21 +648,19 @@ def _select_batch_slots(
     return selections
 
 
-def _select_single_slot(slot: _SelectionSlot, arrays, fit_flat: np.ndarray):
-    """Scalar-scan twin of :func:`_select_batch_slots` for one problem."""
+def _select_single(
+    rounded_cycles: Tuple[float, ...], dram_bpc: float, arrays, fit_flat: np.ndarray
+):
+    """Scalar-scan twin of :func:`_select_batch` for one problem."""
     totals = arrays.total_bytes[fit_flat]
     # np.rint rounds half-to-even exactly like Python's round(float) -> int.
     rounded_totals = np.rint(totals).tolist()
     buffer_list = arrays.buffer_bytes[fit_flat].tolist()
     index_list = fit_flat.tolist()
-    dram_bpc = slot.dram_bpc
-    if dram_bpc > 0:
-        rounded_dram = [round(d, 3) for d in (totals / dram_bpc).tolist()]
-    else:
-        rounded_dram = [0.0] * len(index_list)
+    rounded_dram = _rounded_dram_cycles(totals, dram_bpc)
 
     best = None
-    for dataflow_position, rounded_cc in enumerate(slot.rounded_cycles):
+    for dataflow_position, rounded_cc in enumerate(rounded_cycles):
         # Manual lexicographic argmin with strict-< (first wins on ties),
         # mirroring the scalar loop's ``rank < best[0]`` comparison.
         best_obj = best_total = best_buffer = best_position = None
@@ -860,92 +683,3 @@ def _select_single_slot(slot: _SelectionSlot, arrays, fit_flat: np.ndarray):
         if best is None or rank < best[0]:
             best = (rank, dataflow_position, index_list[best_position])
     return best
-
-
-def _map_trial_groups(groups: List[List]) -> None:
-    """Price deduplicated cross-trial problem groups and scatter the costs.
-
-    ``groups`` entries are ``[mapper, op, raw_problem, subscribers]`` (see
-    :meth:`Mapper.map_trials_batch`).  Groups are partitioned by the two
-    axes one stacked selection cannot mix — the dataflow set (plan positions
-    must align across slots) and the array backend — and each partition runs
-    ONE :func:`estimate_traffic_batch_ops` pass: per-candidate blocking
-    capacities and per-slot DRAM bandwidths carry any remaining config
-    differences, with results bitwise equal to per-trial passes (int64
-    broadcasting and elementwise float64 division are the identical
-    operations the per-config calls perform).
-    """
-    partitions: Dict[Tuple, List[List]] = {}
-    for group in groups:
-        mapper = group[0]
-        partition_key = (
-            tuple(d.value for d in mapper.options.dataflows),
-            getattr(mapper.options, "backend", "numpy") or "numpy",
-        )
-        partitions.setdefault(partition_key, []).append(group)
-
-    for part_groups in partitions.values():
-        preps: List[_PreparedProblem] = []
-        slots: List[_SelectionSlot] = []
-        capacities: List[int] = []
-        for mapper, _, raw_problem, _ in part_groups:
-            prep = mapper._prepared(raw_problem, mapper._problem_key(raw_problem))
-            preps.append(prep)
-            slots.append(
-                _SelectionSlot(
-                    tuple(plan.rounded_cycles for plan in prep.per_dataflow),
-                    mapper.config.dram_bytes_per_cycle,
-                )
-            )
-            capacities.append(mapper.hierarchy.blocking_capacity_bytes)
-        op_index, m_all, n_all, k_all = stack_candidate_grids(
-            [(prep.m_tiles, prep.n_tiles, prep.k_tiles) for prep in preps]
-        )
-        if len(set(capacities)) == 1:
-            capacity: object = capacities[0]
-        else:
-            capacity = np.array(capacities, dtype=np.int64)[op_index]
-        arrays = estimate_traffic_batch_ops(
-            [prep.problem for prep in preps],
-            op_index,
-            m_all,
-            n_all,
-            k_all,
-            capacity,
-            _DTYPE_BYTES,
-            backend=part_groups[0][0]._resolve_backend(),
-        )
-        selections = _select_batch_slots(slots, arrays, op_index)
-        for group, prep, selection in zip(part_groups, preps, selections):
-            mapper, op, raw_problem, subscribers = group
-            if selection is None:
-                cost = OpCost(
-                    op_name=op.name,
-                    op_type=op.op_type,
-                    flops=raw_problem.flops,
-                    padded_flops=prep.problem.flops,
-                    schedule_failed=True,
-                )
-            else:
-                _, dataflow_position, flat_index = selection
-                plan = prep.per_dataflow[dataflow_position]
-                traffic = arrays.traffic(flat_index)
-                cost = OpCost(
-                    op_name=op.name,
-                    op_type=op.op_type,
-                    flops=raw_problem.flops,
-                    padded_flops=prep.problem.flops,
-                    compute_cycles=plan.compute_cycles,
-                    vector_cycles=0.0,
-                    dram_input_bytes=traffic.input_bytes,
-                    dram_weight_bytes=traffic.stationary_bytes,
-                    dram_output_bytes=traffic.output_bytes,
-                    utilization=mapper._utilization(raw_problem, plan.compute_cycles),
-                    dataflow=plan.mapping.dataflow,
-                    tiling=arrays.tiling(flat_index),
-                    schedule_failed=False,
-                )
-            for sub_mapper, key in subscribers:
-                sub_mapper._cache[key] = cost
-                if sub_mapper.op_cache is not None:
-                    sub_mapper.op_cache.put((sub_mapper._config_key, key), cost)

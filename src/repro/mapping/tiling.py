@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.mapping.backend import ArrayBackend
 from repro.mapping.loopnest import MatrixProblem
 
 __all__ = [
@@ -305,26 +304,15 @@ def estimate_traffic_batch_ops(
     m_tiles: np.ndarray,
     n_tiles: np.ndarray,
     k_tiles: np.ndarray,
-    blocking_capacity_bytes: Union[int, np.ndarray],
+    blocking_capacity_bytes: int,
     dtype_bytes: int = 2,
-    backend: Optional[ArrayBackend] = None,
 ) -> TrafficArrays:
     """Vectorized :func:`estimate_traffic` across many problems at once.
 
     The candidate axis is flat: candidate ``i`` tiles ``problems[op_index[i]]``
     (see :func:`tiling_candidate_arrays_ops`).  One array pass costs every
     candidate of every problem — this is the op axis the graph-batched mapper
-    sweeps in a single NumPy pass per trial.  ``blocking_capacity_bytes`` may
-    be a per-candidate ``int64`` array instead of a scalar, which lets the
-    trial-batched mapper stack problems from *different* datapath configs in
-    the same pass (broadcasting against a capacity array performs the
-    identical int64 comparisons/subtractions, so results stay bitwise equal
-    to per-config calls).
-
-    ``backend`` selects the array library the pass runs on (see
-    :mod:`repro.mapping.backend`); ``None`` or the NumPy backend takes the
-    reference fast path below, other backends a mirrored device-side pass
-    whose results are converted back to host NumPy arrays.
+    sweeps in a single NumPy pass per trial.
 
     Buffer footprints stay in ``int64`` (exact); traffic is computed in
     ``float64`` with the same correctly-rounded operations the scalar path
@@ -344,11 +332,6 @@ def estimate_traffic_batch_ops(
       candidate the very same operand values the per-problem pass broadcasts,
       so the batched results are bitwise identical to per-problem calls.
     """
-    if backend is not None and backend.name != "numpy":
-        return _estimate_traffic_batch_ops_backend(
-            problems, op_index, m_tiles, n_tiles, k_tiles,
-            blocking_capacity_bytes, dtype_bytes, backend,
-        )
     buffer_bytes = (m_tiles * k_tiles + k_tiles * n_tiles + m_tiles * n_tiles) * dtype_bytes
     fits = buffer_bytes <= blocking_capacity_bytes
 
@@ -406,97 +389,4 @@ def estimate_traffic_batch_ops(
         total_bytes=total,
         buffer_bytes=buffer_bytes,
         fits=fits,
-    )
-
-
-def _estimate_traffic_batch_ops_backend(
-    problems: Sequence[MatrixProblem],
-    op_index: np.ndarray,
-    m_tiles: np.ndarray,
-    n_tiles: np.ndarray,
-    k_tiles: np.ndarray,
-    blocking_capacity_bytes: Union[int, np.ndarray],
-    dtype_bytes: int,
-    backend: ArrayBackend,
-) -> TrafficArrays:
-    """Device-side mirror of :func:`estimate_traffic_batch_ops`.
-
-    Same computation, spelled through the :class:`~repro.mapping.backend.\
-ArrayBackend` seam with no in-place mutation (torch/CuPy friendly): the
-    per-role multipliers are assembled with ``stack``/``where`` instead of
-    the NumPy path's ``copy()`` + row assignment.  Inputs arrive as host
-    NumPy arrays and results are converted back, so callers see ordinary
-    ``TrafficArrays`` regardless of where the arithmetic ran.
-    """
-    xb = backend
-    m_t = xb.from_numpy(m_tiles)
-    n_t = xb.from_numpy(n_tiles)
-    k_t = xb.from_numpy(k_tiles)
-    op_idx = xb.from_numpy(np.ascontiguousarray(op_index))
-
-    buffer_bytes = (m_t * k_t + k_t * n_t + m_t * n_t) * dtype_bytes
-    if isinstance(blocking_capacity_bytes, np.ndarray):
-        capacity = xb.from_numpy(blocking_capacity_bytes)
-    else:
-        capacity = int(blocking_capacity_bytes)
-    fits = buffer_bytes <= capacity
-    headroom = capacity - buffer_bytes
-
-    dims_by_problem = xb.from_numpy(
-        np.array(
-            [
-                [problem.n for problem in problems],
-                [problem.m for problem in problems],
-                [problem.k for problem in problems],
-            ],
-            dtype=np.int64,
-        )
-    )
-    role_by_problem = xb.from_numpy(
-        np.array(
-            [
-                [problem.input_bytes for problem in problems],
-                [problem.stationary_bytes for problem in problems],
-                [problem.output_bytes for problem in problems],
-            ],
-            dtype=np.float64,
-        )
-    )
-    instances = xb.from_numpy(
-        np.array([max(problem.instances, 1) for problem in problems], dtype=np.int64)
-    )
-    depthwise = xb.from_numpy(
-        np.array([problem.is_depthwise for problem in problems], dtype=bool)
-    )
-    input_bytes_flat = role_by_problem[0]
-
-    dims = dims_by_problem[:, op_idx]
-    tiles = xb.stack((n_t, m_t, k_t))
-    outer = xb.ceil(xb.float64(dims) / xb.float64(tiles))
-    role_bytes = role_by_problem[:, op_idx]
-    resident = (role_bytes / xb.float64(instances[op_idx])) <= xb.float64(headroom)
-    spill = 2.0 * outer[2] - 1.0
-    multipliers = xb.stack((outer[0], outer[1], spill))
-    multipliers = xb.where((outer == 1.0) | resident, 1.0, multipliers)
-    traffic = role_bytes * multipliers
-    input_traffic = xb.where(
-        depthwise[op_idx], input_bytes_flat[op_idx], traffic[0]
-    )
-    stationary_traffic = traffic[1]
-    output_traffic = traffic[2]
-    total = input_traffic + stationary_traffic + output_traffic
-
-    def _f64(array) -> np.ndarray:
-        return np.asarray(xb.to_numpy(array), dtype=np.float64)
-
-    return TrafficArrays(
-        m_tiles=m_tiles,
-        n_tiles=n_tiles,
-        k_tiles=k_tiles,
-        input_bytes=_f64(input_traffic),
-        stationary_bytes=_f64(stationary_traffic),
-        output_bytes=_f64(output_traffic),
-        total_bytes=_f64(total),
-        buffer_bytes=np.asarray(xb.to_numpy(buffer_bytes), dtype=np.int64),
-        fits=np.asarray(xb.to_numpy(fits), dtype=bool),
     )

@@ -163,7 +163,6 @@ def simulation_options_to_dict(options) -> Dict[str, object]:
                 "max_tiling_candidates": value.max_tiling_candidates,
                 "padding_max_overhead": value.padding_max_overhead,
                 "vectorize": value.vectorize,
-                "backend": value.backend,
             }
         else:
             payload[name] = getattr(value, "value", value)
@@ -187,7 +186,6 @@ def simulation_options_from_dict(data: Dict[str, object]):
             max_tiling_candidates=int(mapper["max_tiling_candidates"]),
             padding_max_overhead=float(mapper["padding_max_overhead"]),
             vectorize=bool(mapper["vectorize"]),
-            backend=str(mapper.get("backend", "numpy")),
         )
     return SimulationOptions(**kwargs)
 

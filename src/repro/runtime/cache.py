@@ -62,21 +62,13 @@ __all__ = [
 
 
 #: Simulation options that only affect *how fast* a trial evaluates, never
-#: what it computes (the vectorized / graph-batched / trial-batched mappers
-#: and the op cache are bit-for-bit equivalent to the scalar, uncached
-#: path).  They are excluded from the problem fingerprint so runs with
-#: different performance knobs share trial cache entries and checkpoints.
-#: ``backend`` is perf-only *conditionally*: NumPy is always bit-exact, and
-#: a float-divergent backend (cupy/torch) is shareable only after it passed
-#: :func:`repro.mapping.backend.assert_backend_equivalence` this process —
-#: otherwise :func:`problem_fingerprint` folds a backend tag back in below,
-#: so an unverified GPU run can never poison a shared store.
+#: what it computes (the graph-batched mapper and the cost caches are
+#: bit-for-bit equivalent to the scalar, uncached path).  They are excluded
+#: from the problem fingerprint so runs with different performance knobs
+#: share trial cache entries and checkpoints.
 _PERF_ONLY_SIMULATION_OPTIONS = frozenset(
     {
         "vectorized_mapper",
-        "graph_batched_mapper",
-        "trial_batched_mapper",
-        "backend",
         "region_cache_enabled",
         "op_cache_enabled",
         "op_cache_path",
@@ -84,16 +76,6 @@ _PERF_ONLY_SIMULATION_OPTIONS = frozenset(
         "region_cache_service",
     }
 )
-
-
-def _resolved_backend_name(options) -> str:
-    """The backend the simulator would resolve for these options."""
-    backend = getattr(options, "backend", "numpy") or "numpy"
-    if backend == "numpy":
-        mapper_options = getattr(options, "mapper_options", None)
-        if mapper_options is not None:
-            backend = getattr(mapper_options, "backend", "numpy") or "numpy"
-    return backend
 
 
 def problem_fingerprint(
@@ -121,15 +103,6 @@ def problem_fingerprint(
             for key, value in sorted(vars(evaluator.simulation_options).items())
             if key not in _PERF_ONLY_SIMULATION_OPTIONS
         }
-        # Conditionally perf-only: an unverified non-NumPy backend gets its
-        # own cache universe (see _PERF_ONLY_SIMULATION_OPTIONS note).
-        from repro.mapping.backend import backend_cache_tag
-
-        tag = backend_cache_tag(
-            _resolved_backend_name(evaluator.simulation_options)
-        )
-        if tag is not None:
-            payload["simulation_options"]["backend_tag"] = tag
     if space is not None:
         payload["space"] = [
             [spec.name, [getattr(choice, "value", choice) for choice in spec.choices]]

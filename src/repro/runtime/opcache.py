@@ -553,30 +553,6 @@ class RegionCostCache(CostCacheBase):
         return region_entry_from_dict(raw)
 
     # ------------------------------------------------------------------
-    def peek(self, key: Tuple):
-        """Probe for an entry without touching stats or LRU order.
-
-        The trial-batched gather phase uses this to decide which regions
-        still need mapping; the later accounted :meth:`get` during
-        ``simulate`` keeps hit/miss statistics identical to per-trial runs.
-        A store or shared-segment entry found here is promoted into memory
-        (still unaccounted), so the accounted lookup that follows sees it.
-        """
-        entry = self._memory.get(key)
-        if entry is not None:
-            return entry
-        if not self._disk_index and self._shared is None:
-            return None
-        digest = self.digest(key)
-        raw = self._disk_index.get(digest) if self._disk_index else None
-        if raw is None and self._shared is not None:
-            raw = self._shared(digest)
-        if raw is None:
-            return None
-        entry = self._decode(raw)
-        self._remember(key, entry)
-        return entry
-
     def put(self, key: Tuple, entry: tuple) -> None:
         """Store one evaluated region, evicting the LRU tail past capacity."""
         self._remember(key, entry)

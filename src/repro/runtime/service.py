@@ -664,19 +664,12 @@ def serve(
     ``engine`` (an :class:`~repro.simulator.enginespec.EngineSpec`) pins the
     evaluation engine server-side: its fields are merged over every
     request's simulation options, so clients get this service's engine
-    regardless of what their payload asked for.  Safe because all NumPy
-    engines are bit-for-bit equivalent; a non-NumPy backend should pass
-    ``repro profile --check-backends`` on this host first.
+    regardless of what their payload asked for.  Safe because both
+    mapper engines are bit-for-bit equivalent.
     """
     overrides: Dict[str, object] = {}
     if engine is not None:
         overrides["vectorized_mapper"] = engine.mapper != "scalar"
-        overrides["graph_batched_mapper"] = engine.mapper in (
-            "graph-batched",
-            "trial-batched",
-        )
-        overrides["trial_batched_mapper"] = engine.mapper == "trial-batched"
-        overrides["backend"] = engine.backend
         overrides["op_cache_enabled"] = engine.op_cache
         overrides["region_cache_enabled"] = engine.region_cache
         if engine.region_store is not None:

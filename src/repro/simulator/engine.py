@@ -54,27 +54,14 @@ def _tracer():
 class SimulationOptions:
     """Knobs controlling a simulation run.
 
-    The last five fields are performance knobs that never change results
-    (every mapping engine is bit-for-bit equivalent, and cache hits return
+    The last six fields are performance knobs that never change results
+    (both mapping engines are bit-for-bit equivalent, and cache hits return
     exactly what a fresh evaluation would compute):
 
-    * ``vectorized_mapper`` — select the NumPy mapping engine (None follows
-      ``mapper_options``, whose default is vectorized; False forces the
-      scalar reference implementation).
-    * ``graph_batched_mapper`` — batch every op-cache-missing matrix op of a
-      trial into ONE stacked candidate sweep (gather -> batch-map -> scatter)
-      instead of mapping region by region, op by op.  None follows the
-      engine choice (on whenever the mapper is vectorized); False selects
-      the per-op path (``repro search --engine vectorized``).
-    * ``trial_batched_mapper`` — lift the batching one level further: a whole
-      *batch of trials'* pending matrix ops joins ONE stacked
-      trials x ops x dataflows x tilings sweep
-      (:meth:`~repro.mapping.mapper.Mapper.map_trials_batch`), driven by
-      :meth:`~repro.core.trial.TrialEvaluator.evaluate_params_batch`.  Rides
-      on the graph-batched engine; None/False keeps per-trial passes.
-    * ``backend`` — array library the vectorized sweeps run on (see
-      :mod:`repro.mapping.backend`); ``numpy`` (default) is bit-for-bit
-      equal to the scalar reference, other backends are tolerance-checked.
+    * ``vectorized_mapper`` — select the graph-batched NumPy engine, which
+      maps every op-cache-missing matrix op of a trial in ONE stacked
+      candidate sweep (None follows ``mapper_options``, whose default is
+      vectorized; False forces the scalar reference loop).
     * ``region_cache_enabled`` — memoize whole fusion-region evaluations
       across trials through :func:`repro.runtime.opcache.get_region_cache`;
       fusion-stable regions skip even the gather step on warm trials.
@@ -98,9 +85,6 @@ class SimulationOptions:
     fusion_solver: str = "auto"
     mapper_options: Optional[MapperOptions] = None
     vectorized_mapper: Optional[bool] = None
-    graph_batched_mapper: Optional[bool] = None
-    trial_batched_mapper: Optional[bool] = None
-    backend: str = "numpy"
     region_cache_enabled: bool = True
     op_cache_enabled: bool = True
     op_cache_path: Optional[str] = None
@@ -317,42 +301,16 @@ class Simulator:
 
             self.op_cache = get_op_cache(self.options.op_cache_path)
         mapper_options = self.options.mapper_options or MapperOptions()
-        vectorize = (
-            mapper_options.vectorize
-            if self.options.vectorized_mapper is None
-            else self.options.vectorized_mapper
-        )
-        # SimulationOptions.backend is the canonical knob; an explicit
-        # non-default on mapper_options is honored when the options leave it
-        # at the NumPy default.
-        backend = (
-            self.options.backend
-            if self.options.backend != "numpy"
-            else getattr(mapper_options, "backend", "numpy")
-        )
-        if vectorize != mapper_options.vectorize or backend != getattr(
-            mapper_options, "backend", "numpy"
-        ):
+        vectorize = self.options.vectorized_mapper
+        if vectorize is not None and vectorize != mapper_options.vectorize:
             mapper_options = MapperOptions(
                 dataflows=mapper_options.dataflows,
                 max_tiling_candidates=mapper_options.max_tiling_candidates,
                 padding_max_overhead=mapper_options.padding_max_overhead,
                 vectorize=vectorize,
-                backend=backend,
             )
         self.mapper = Mapper(
             self._core_config, self.hierarchy, mapper_options, op_cache=self.op_cache
-        )
-        # Graph-level batching rides on the vectorized engine; the scalar
-        # reference always maps op by op.
-        self._graph_batched = mapper_options.vectorize and (
-            self.options.graph_batched_mapper
-            if self.options.graph_batched_mapper is not None
-            else True
-        )
-        # Trial-level batching rides on the graph-batched engine in turn.
-        self.trial_batched = self._graph_batched and bool(
-            self.options.trial_batched_mapper
         )
         self.region_cache = None
         if self.options.region_cache_enabled:
@@ -379,15 +337,13 @@ class Simulator:
     def simulate(self, graph: Graph) -> SimulationResult:
         """Simulate a prepared graph (already at the desired batch size).
 
-        The region walk is a gather -> batch-map -> scatter pipeline when the
-        graph-batched mapper is active: regions served by the region cache
-        are skipped outright, every matrix op of the remaining regions is
-        collected into ONE stacked candidate sweep
-        (:meth:`~repro.mapping.mapper.Mapper.map_ops_batch`), and the
-        per-region evaluation then just scatters the pre-mapped costs.  Both
-        fast layers are bit-for-bit neutral: the per-op walk (selectable via
-        ``graph_batched_mapper=False``) and a cold region cache produce the
-        identical result.
+        The region walk is a gather -> batch-map -> scatter pipeline: regions
+        served by the region cache are skipped outright, every matrix op of
+        the remaining regions is mapped in one call
+        (:meth:`~repro.mapping.mapper.Mapper.map_ops_batch` — one stacked
+        candidate sweep, or the scalar reference loop), and the per-region
+        evaluation then just scatters the pre-mapped costs.  A cold region
+        cache produces the identical result.
         """
         core = self._core_config
         with _tracer().span("compile", category="simulate"):
@@ -407,20 +363,19 @@ class Simulator:
                 region_cache.prefetch(region_keys)
             cached_entries = [region_cache.get(key) for key in region_keys]
 
-        premapped: Optional[Dict[str, OpCost]] = None
-        if self._graph_batched:
-            gather_ops: List[Operation] = []
-            for position, region in enumerate(plan):
-                if cached_entries is not None and cached_entries[position] is not None:
-                    continue
-                gather_ops.extend(region.matrix_ops)
-            if gather_ops:
-                with _tracer().span(
-                    "batch_map", category="simulate", num_ops=len(gather_ops)
-                ):
-                    started = time.perf_counter()
-                    premapped = self.mapper.map_ops_batch(gather_ops, graph.tensors)
-                    self.stage_seconds["mapper"] += time.perf_counter() - started
+        gather_ops: List[Operation] = []
+        for position, region in enumerate(plan):
+            if cached_entries is not None and cached_entries[position] is not None:
+                continue
+            gather_ops.extend(region.matrix_ops)
+        premapped: Dict[str, OpCost] = {}
+        if gather_ops:
+            with _tracer().span(
+                "batch_map", category="simulate", num_ops=len(gather_ops)
+            ):
+                started = time.perf_counter()
+                premapped = self.mapper.map_ops_batch(gather_ops, graph.tensors)
+                self.stage_seconds["mapper"] += time.perf_counter() - started
 
         region_perf: List[RegionPerformance] = []
         region_stats: List[RegionStats] = []
@@ -497,43 +452,6 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    def gather_map_entry(self, graph: Graph):
-        """Gather half of the trial-batched pipeline for one graph.
-
-        Returns ``(mapper, ops, tensors)`` — the matrix ops of every fusion
-        region the region cache cannot serve, ready to join a cross-trial
-        :meth:`~repro.mapping.mapper.Mapper.map_trials_batch` pass — or
-        ``None`` when nothing needs mapping (everything cached, or this
-        simulator is not graph-batched).  Region entries are *peeked*, not
-        counted: the later :meth:`simulate` call performs the accounted
-        lookups, so cache-hit statistics stay identical to per-trial runs.
-        After the batch pass warms ``self.mapper``'s cache, ``simulate``
-        proceeds unchanged — its own gather finds every op pre-mapped.
-        """
-        if not self._graph_batched:
-            return None
-        core = self._core_config
-        compiled = _compile_cached(graph, core.use_two_pass_softmax)
-        plan = _region_plan(compiled)
-        cached_flags: Optional[List[bool]] = None
-        if self.region_cache is not None:
-            key_base = self._region_key_base(graph, compiled)
-            gather_keys = [key_base + (region.index,) for region in plan]
-            if self.region_cache.remote is not None:
-                self.region_cache.prefetch(gather_keys)
-            cached_flags = [
-                self.region_cache.peek(key) is not None for key in gather_keys
-            ]
-        gather_ops: List[Operation] = []
-        for position, region in enumerate(plan):
-            if cached_flags is not None and cached_flags[position]:
-                continue
-            gather_ops.extend(region.matrix_ops)
-        if not gather_ops:
-            return None
-        return (self.mapper, gather_ops, graph.tensors)
-
-    # ------------------------------------------------------------------
     def _region_key_base(self, graph: Graph, compiled: CompiledModel) -> Tuple:
         """Region-cache key prefix: everything region results depend on.
 
@@ -541,9 +459,9 @@ class Simulator:
         shape; the mapper config key pins all mapping-relevant datapath
         knobs; the remaining components cover the vector-op cost model (VPU
         lanes, softmax lowering), the DRAM traffic conversion, and the
-        Global-Memory blocking headroom used for fusion statistics.  Engine
-        selection knobs (vectorized / graph-batched) are deliberately
-        excluded — all engines are bit-for-bit equivalent.
+        Global-Memory blocking headroom used for fusion statistics.  The
+        engine choice (scalar / graph-batched) is deliberately excluded —
+        both engines are bit-for-bit equivalent.
         """
         core = self._core_config
         factors = compiled.softmax_factors
@@ -586,14 +504,12 @@ class Simulator:
         compiled: CompiledModel,
         region: _RegionPlan,
         dram_bpc: float,
-        premapped: Optional[Dict[str, OpCost]] = None,
+        premapped: Dict[str, OpCost],
     ):
         """Cost one fusion region; returns (RegionPerformance, RegionStats).
 
-        ``premapped`` carries the scatter half of the graph-batched pipeline:
-        matrix-op costs already computed by the trial-wide batched sweep.
-        Ops absent from it (or every op, on the per-op path) fall back to
-        :meth:`~repro.mapping.mapper.Mapper.map_op`.
+        ``premapped`` carries the scatter half of the gather -> batch-map ->
+        scatter pipeline: the costs of every matrix op in the region.
         """
         graph = compiled.graph
         tensors = graph.tensors
@@ -606,11 +522,7 @@ class Simulator:
         stage_seconds = self.stage_seconds
         for op, is_matrix in region.ops:
             if is_matrix:
-                cost = premapped.get(op.name) if premapped is not None else None
-                if cost is None:
-                    started = time.perf_counter()
-                    cost = self.mapper.map_op(op, tensors)
-                    stage_seconds["mapper"] += time.perf_counter() - started
+                cost = premapped[op.name]
                 if cost.schedule_failed:
                     return None, None
                 matrix_costs.append(cost)

@@ -42,6 +42,25 @@ class TestParser:
         assert args.merge is None
         assert args.mode == "seed"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--workload", "resnet50", "--scalar-mapper"],
+            ["search", "--workload", "resnet50", "--per-op-mapper"],
+            ["search", "--workload", "resnet50", "--no-op-cache"],
+            ["search", "--workload", "resnet50", "--no-region-cache"],
+            ["sweep", "--workload", "resnet50", "--no-op-cache"],
+            ["profile", "--workload", "resnet50", "--check-backends"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-1]}",
+    )
+    def test_removed_engine_flags_rejected(self, argv, capsys):
+        # Engine selection goes through --engine SPEC only.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
     def test_cache_compact_requires_path(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "compact"])
@@ -116,7 +135,7 @@ class TestCommands:
             assert json.loads(result_path.read_text())["num_trials"] == 4
             assert config_path.exists()
 
-    def test_search_op_cache_and_scalar_mapper_flags(self, tmp_path, capsys):
+    def test_search_op_cache_and_scalar_engine(self, tmp_path, capsys):
         store = tmp_path / "opcache.jsonl"
         code = main(
             [
@@ -135,22 +154,20 @@ class TestCommands:
                 "--workload", "mobilenet-v2",
                 "--trials", "4",
                 "--optimizer", "random",
-                "--scalar-mapper",
-                "--no-op-cache",
+                "--engine", "scalar:op_cache=off",
             ]
         )
         assert code in (0, 1)
         capsys.readouterr()
 
-    def test_search_per_op_mapper_and_region_cache_flags(self, capsys):
+    def test_search_engine_region_cache_off(self, capsys):
         code = main(
             [
                 "search",
                 "--workload", "mobilenet-v2",
                 "--trials", "4",
                 "--optimizer", "random",
-                "--per-op-mapper",
-                "--no-region-cache",
+                "--engine", "graph-batched:region_cache=off",
             ]
         )
         assert code in (0, 1)
@@ -187,29 +204,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "vs scalar" in out
-        assert "equivalence: all NumPy modes reproduced" in out
+        assert "equivalence: all modes reproduced" in out
         payload = json.loads(out_path.read_text())
         assert payload["histories_match"] is True
         modes = [record["mode"] for record in payload["records"]]
         assert modes == [
             "scalar",
-            "vectorized",
             "graph-batched",
             "graph-batched+region-cache",
             "graph-batched+op-cache",
-            "trial-batched",
-            "trial-batched+cupy",
-            "trial-batched+torch",
             "parallel-2",
             "parallel-2+shared-cache",
         ]
-        # Backend rows without the library installed are recorded as
-        # skipped, never silently dropped or counted as failures.
-        by_mode = {record["mode"]: record for record in payload["records"]}
-        for name in ("cupy", "torch"):
-            record = by_mode[f"trial-batched+{name}"]
-            if record["skipped"]:
-                assert name in record["skip_reason"]
 
     def test_sweep_smoke_golden_output(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.json"

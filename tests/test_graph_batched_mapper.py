@@ -1,9 +1,8 @@
 """Tests for the graph-batched mapping engine and the region-result cache.
 
-The contract under test is *bit-for-bit equivalence* across the whole
-ladder: the scalar reference loop, the per-op vectorized engine, the
-graph-batched engine (one stacked candidate sweep per trial), and any
-region-cache or warm-worker configuration must all produce identical op
+The contract under test is *bit-for-bit equivalence*: the scalar reference
+loop, the graph-batched engine (one stacked candidate sweep per trial), and
+any region-cache or warm-worker configuration must all produce identical op
 costs, identical simulation results, and identical search histories.
 """
 
@@ -242,21 +241,17 @@ class TestGraphBatchedSimulator:
         scalar = _simulate(
             graph, config, vectorized_mapper=False, region_cache_enabled=False
         )
-        per_op = _simulate(
-            graph, config, graph_batched_mapper=False, region_cache_enabled=False
-        )
         batched = _simulate(graph, config, region_cache_enabled=False)
-        assert _result_signature(per_op) == _result_signature(scalar)
         assert _result_signature(batched) == _result_signature(scalar)
 
     def test_random_datapaths_identical(self, efficientnet_b0):
         for config in _random_configs(4, seed=23):
-            per_op = _simulate(
+            scalar = _simulate(
                 efficientnet_b0, config,
-                graph_batched_mapper=False, region_cache_enabled=False,
+                vectorized_mapper=False, region_cache_enabled=False,
             )
             batched = _simulate(efficientnet_b0, config, region_cache_enabled=False)
-            assert _result_signature(batched) == _result_signature(per_op)
+            assert _result_signature(batched) == _result_signature(scalar)
 
     def test_region_cache_on_off_identical(self, efficientnet_b0):
         config = DatapathConfig()
