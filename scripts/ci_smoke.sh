@@ -290,33 +290,33 @@ PY
 }
 
 # --------------------------------------------------------------------------
-# 8. Cache-tier smoke: a search writes the persistent region store, a cold
-#    process warm-loads it (every region from disk, none recomputed), and a
-#    2-worker run attaches the parent-published shared-memory segment — all
-#    with histories bit-for-bit equal to the private-cache baseline.
+# 8. Op-store smoke: a cold --op-cache search writes the persistent op store,
+#    a fresh serial process warm-loads it (op costs served from disk), and a
+#    2-worker run shares it — all with histories bit-for-bit equal to the
+#    private-cache baseline.
 # --------------------------------------------------------------------------
 smoke_cache_tier() {
-    log "cache-tier smoke: region store warm-load + shared-memory equivalence"
+    log "op-store smoke: --op-cache write, warm-load and 2-worker equivalence"
     local common=(--workload efficientnet-b0 --trials 12 --batch-size 4 --seed 0 --history)
-    local store="$SMOKE_DIR/region-store.jsonl"
+    local store="$SMOKE_DIR/op-store.jsonl"
     rm -f "$store"
     python -m repro search "${common[@]}" \
         --output "$SMOKE_DIR/cache-private.json"
     python -m repro search "${common[@]}" \
-        --engine "graph-batched:region_store=$store" \
+        --op-cache "$store" \
         --output "$SMOKE_DIR/cache-store-cold.json"
-    [ -s "$store" ] || { echo "region store was never written"; exit 1; }
-    # Fresh processes: one serial warm-load, one 2-worker shared-memory run.
+    [ -s "$store" ] || { echo "op store was never written"; exit 1; }
+    # Fresh processes: one serial warm-load, one 2-worker run on the store.
     python -m repro search "${common[@]}" \
-        --engine "graph-batched:region_store=$store" \
+        --op-cache "$store" \
         --output "$SMOKE_DIR/cache-store-warm.json"
     python -m repro search "${common[@]}" \
         --workers 2 \
-        --engine "graph-batched:region_store=$store" \
-        --output "$SMOKE_DIR/cache-shared.json"
+        --op-cache "$store" \
+        --output "$SMOKE_DIR/cache-store-workers.json"
 
     python - "$SMOKE_DIR/cache-private.json" "$SMOKE_DIR/cache-store-cold.json" \
-        "$SMOKE_DIR/cache-store-warm.json" "$SMOKE_DIR/cache-shared.json" <<'PY'
+        "$SMOKE_DIR/cache-store-warm.json" "$SMOKE_DIR/cache-store-workers.json" <<'PY'
 import json, sys
 private = json.load(open(sys.argv[1]))
 for path in sys.argv[2:]:
@@ -325,15 +325,10 @@ for path in sys.argv[2:]:
         if private.get(key) != other.get(key):
             raise SystemExit(f"{path} diverged from the private-cache run on {key!r}")
 warm = json.load(open(sys.argv[3]))["runtime"]
-assert warm["region_cache_disk_hits"] > 0, warm
-assert warm["region_cache_misses"] == 0, warm
-shared = json.load(open(sys.argv[4]))["runtime"]
-assert shared["shared_cache_attached"] >= 1, shared
-assert shared["shared_cache_entries"] > 0, shared
-print("store + shared-memory == private bit-for-bit over",
+assert warm["op_cache_disk_hits"] > 0, warm
+print("op store (cold, warm, 2 workers) == private bit-for-bit over",
       len(private.get("history") or []), "trials;",
-      warm["region_cache_disk_hits"], "warm disk hits,",
-      shared["shared_cache_attached"], "worker(s) on the shared segment")
+      warm["op_cache_disk_hits"], "warm disk hits")
 PY
 }
 

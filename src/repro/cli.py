@@ -144,59 +144,34 @@ and DRAM bytes:
   candidates are costed in ONE stacked NumPy pass, then scattered back.
 
 Engine options: ``op_cache=on|off`` and ``region_cache=on|off`` toggle the
-two cross-trial memoization layers: the region-level result cache (whole
-fusion-region evaluations keyed by graph fingerprint, region index, and
-mapping-relevant datapath sub-config) and the per-op cost cache.
+two cross-trial memoization layers; both serve bit-identical entries, so
+they can change only wall-clock time, never a search history:
 
-**The shared cost-cache tier.**  Both memoization layers are the private
-front of a three-tier cache; every tier serves bit-identical entries, so
-enabling any of them can change only wall-clock time, never a search
-history:
+* **region cache** — a private in-memory LRU of whole fusion-region
+  evaluations, keyed by graph fingerprint, region index, and
+  mapping-relevant datapath sub-config.  Each process keeps its own;
+  fork-started pool workers inherit the parent's warm entries.
+* **op cache** — per-op mapping and vector costs, in a memory LRU with an
+  optional persistent JSON-lines store, ``--op-cache PATH``.  The store is
+  digest-keyed and append-only (single-write appends make concurrent
+  writers safe; duplicates are folded by compaction) and is warm-loaded at
+  startup by searches, sweep shards, pool workers and ``repro serve``
+  alike.  Store-served lookups are reported as ``op_cache_disk_hits``.
 
-* **private** — the in-process memory LRU plus an optional persistent
-  JSON-lines store: ``--op-cache PATH`` for op costs, ``--engine
-  ...:region_store=PATH`` for whole evaluated regions.  Stores are
-  digest-keyed, append-only (single-write appends make concurrent writers
-  safe; duplicates are folded by compaction), and warm-loaded at startup —
-  by searches, sweep shards, and ``repro serve`` alike.  Disk-served
-  lookups are reported separately as ``op_cache_disk_hits`` /
-  ``region_cache_disk_hits``.
-* **shared-memory** — a parallel run (``--workers N``) publishes the
-  parent's warm entries into one ``multiprocessing.shared_memory`` segment
-  that every pool worker attaches zero-copy (no per-worker disk load, no
-  duplicated cache RSS); respawned workers re-attach the republished
-  segment and serve their first batch from cache with no re-warm compute.
-  ``shared_cache_attached`` / ``*_cache_shared_hits`` in ``RuntimeStats``
-  show the tier working; any publish or attach failure silently falls back
-  to the private path.
-* **cluster** — a ``repro serve`` endpoint doubles as a cache service via
-  ``GET/PUT /cache/region`` (fingerprint-checked like ``/evaluate``), and
-  ``--engine ...:cache_service=URL`` attaches any search to it: region
-  lookups are prefetched in digest batches before the simulator walks a
-  graph, freshly computed regions are pushed back, and every round trip
-  lands in ``remote_cache_*`` counters and ``remote_cache`` trace spans.
+Worked example — later searches start from the op costs earlier ones
+mapped::
 
-Worked example — one host computes, every later run starts warm::
-
-    # Host A: serve evaluations AND the shared region store
-    python -m repro serve --port 8642 \
-        --engine graph-batched:region_store=runs/regions.jsonl
-
-    # Host B: search against the cache service; repeat runs (any host)
-    # hit the service for every region already evaluated anywhere
     python -m repro search --workload resnet50 --trials 200 \
-        --engine graph-batched:cache_service=http://hostA:8642
+        --op-cache runs/ops.jsonl
+    python -m repro search --workload resnet50 --trials 200 --seed 1 \
+        --op-cache runs/ops.jsonl --workers 2
 
-    # Same machine, later: warm-load the store directly, no network
-    python -m repro search --workload resnet50 --trials 200 \
-        --engine graph-batched:region_store=runs/regions.jsonl
-
-Hit/miss counters for every tier appear in the search summary, progress
+Hit/miss counters for both caches appear in the search summary, progress
 lines, and ``RuntimeStats``.
 
 **Warm parallel workers** (``--workers N``) compose with every engine:
-pool workers start warm (graphs, compiled regions, shared op/region
-caches, persistent ``--op-cache`` store) and inherit the parent's engine
+pool workers start warm (graphs, compiled regions, op/region caches,
+persistent ``--op-cache`` store) and inherit the parent's engine
 spec through the pool initializer — the resolved spec is echoed back as
 ``engine`` in ``RuntimeStats``, so a pool silently running a different
 engine than you asked for is visible in ``repro profile``.
@@ -534,21 +509,6 @@ def _cmd_search(args) -> int:
         if result.runtime.region_cache_hits or result.runtime.region_cache_misses:
             summary["region-cache hits"] = result.runtime.region_cache_hits
             summary["region-cache hit rate"] = result.runtime.region_cache_hit_rate
-        if result.runtime.region_cache_disk_hits:
-            summary["region-cache disk hits"] = result.runtime.region_cache_disk_hits
-        if result.runtime.op_cache_shared_hits or result.runtime.region_cache_shared_hits:
-            summary["shared-cache hits"] = (
-                result.runtime.op_cache_shared_hits
-                + result.runtime.region_cache_shared_hits
-            )
-        if result.runtime.shared_cache_attached:
-            summary["shared-cache workers"] = result.runtime.shared_cache_attached
-        if result.runtime.remote_cache_requests:
-            summary["remote-cache hits"] = result.runtime.remote_cache_hits
-            summary["remote-cache puts"] = result.runtime.remote_cache_puts
-            summary["remote-cache requests"] = result.runtime.remote_cache_requests
-            if result.runtime.remote_cache_failures:
-                summary["remote-cache failures"] = result.runtime.remote_cache_failures
         if result.runtime.eval_seconds:
             summary["mapper seconds"] = result.runtime.mapper_seconds
             summary["fusion seconds"] = result.runtime.fusion_seconds
@@ -767,7 +727,7 @@ def _cmd_profile(args) -> int:
     rows = []
     for record in report.records:
         stages = record.stage_seconds
-        disk_hits = record.op_cache_disk_hits + record.region_cache_disk_hits
+        disk_hits = record.op_cache_disk_hits
         rows.append([
             record.mode,
             f"{record.trials_per_second:.1f}",
@@ -1047,10 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Evaluation engine spec: "
                              "MAPPER[:key=value,...] with MAPPER scalar or "
                              "graph-batched and keys "
-                             "op_cache=on|off, region_cache=on|off, "
-                             "region_store=PATH (persistent JSONL region "
-                             "store), cache_service=URL (cluster cache tier "
-                             "on a `repro serve` endpoint) "
+                             "op_cache=on|off, region_cache=on|off "
                              "(default: graph-batched with both caches on; "
                              "both engines give identical results)")
     search.add_argument("--inject-faults", default=None, metavar="SPEC",
@@ -1090,9 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--engine", default=None, metavar="SPEC",
                        help="Pin the service's evaluation engine (same grammar "
                             "as `repro search --engine`); merged over every "
-                            "request's simulation options.  With "
-                            "region_store=PATH the /cache/region routes "
-                            "persist and warm-load the shared region store")
+                            "request's simulation options")
     serve.add_argument("--inject-faults", default=None, metavar="SPEC",
         help="Serve as a deliberately flaky endpoint: seeded service-side "
              "faults, e.g. 'service-error:p=0.2,service-drop:n=3'")

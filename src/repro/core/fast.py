@@ -46,16 +46,11 @@ class RuntimeStats:
     ``op_cache_hits``/``op_cache_misses`` count per-op cost lookups served by
     the cross-trial :mod:`repro.runtime.opcache`, and
     ``region_cache_hits``/``region_cache_misses`` count whole fusion-region
-    evaluations served by the region-level result cache layered above it.
-    The shared-tier breakdown rides alongside: ``*_disk_hits`` are the
-    subset of hits served from a persistent store's raw index
-    (``--op-cache`` / ``--engine region_store=``), ``*_shared_hits`` the
-    subset served from an attached parent-published shared-memory segment,
-    ``shared_cache_attached`` counts workers that attached one (and
-    ``shared_cache_entries`` how many entries the parent published), and
-    the ``remote_cache_*`` counters cover the cluster tier — batched
-    ``/cache/region`` prefetch hits/misses, entries pushed back, HTTP round
-    trips, and failed round trips.
+    evaluations served by the private in-memory region LRU layered above it.
+    ``op_cache_disk_hits`` is the subset of op hits served from the
+    persistent op store (``--op-cache PATH``).  The four ``*shared*``
+    fields always read 0: no cache tier is shared between processes, and
+    the fields stay only because the ``perfbench`` harness reads them.
     The ``*_seconds`` fields break evaluation wall-clock time down by
     pipeline stage (mapper / VPU cost model / fusion ILP / whole-trial
     evaluation).  Under a serial executor they are collected from this
@@ -98,18 +93,12 @@ class RuntimeStats:
     op_cache_hits: int = 0
     op_cache_misses: int = 0
     op_cache_disk_hits: int = 0
-    op_cache_shared_hits: int = 0
+    op_cache_shared_hits: int = 0  # always 0; perfbench reads it
     region_cache_hits: int = 0
     region_cache_misses: int = 0
-    region_cache_disk_hits: int = 0
-    region_cache_shared_hits: int = 0
-    shared_cache_attached: int = 0
-    shared_cache_entries: int = 0
-    remote_cache_hits: int = 0
-    remote_cache_misses: int = 0
-    remote_cache_puts: int = 0
-    remote_cache_requests: int = 0
-    remote_cache_failures: int = 0
+    region_cache_shared_hits: int = 0  # always 0; perfbench reads it
+    shared_cache_attached: int = 0  # always 0; perfbench reads it
+    shared_cache_entries: int = 0  # always 0; perfbench reads it
     mapper_seconds: float = 0.0
     vector_seconds: float = 0.0
     fusion_seconds: float = 0.0
@@ -568,10 +557,6 @@ class FASTSearch:
                 stats.engine = str(EngineSpec.from_simulation_options(options))
             except Exception:
                 pass  # informational only
-        if region_cache is not None and region_cache.remote is not None:
-            # Drain buffered cluster puts before the counter snapshot so the
-            # run's last computed regions reach the service (and are counted).
-            region_cache.flush_remote()
         for key, value in cache_counter_snapshot(op_cache, region_cache).items():
             setattr(stats, key, value - cache_start.get(key, 0))
         if remote_start is not None:
@@ -644,13 +629,13 @@ class FASTSearch:
         return get_op_cache(getattr(options, "op_cache_path", None))
 
     def _region_cache(self):
-        """This process's shared region-cost cache, when the evaluator uses one."""
+        """This process's region-cost cache, when the evaluator uses one."""
         options = getattr(self.evaluator, "simulation_options", None)
         if options is None or not getattr(options, "region_cache_enabled", False):
             return None
         from repro.runtime.opcache import get_region_cache
 
-        return get_region_cache(getattr(options, "region_store_path", None))
+        return get_region_cache()
 
 
 def _mean(values) -> float:

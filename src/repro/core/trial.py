@@ -126,9 +126,9 @@ class TrialEvaluator:
         """Pre-warm this process's evaluation caches (best effort).
 
         Builds and pre-compiles the problem's workload graphs (default: at
-        the stock native batch size) and attaches the shared op / region
-        caches — loading the persistent op store from disk when one is
-        configured, so the first trial already runs warm.  Used by the
+        the stock native batch size) and creates the process-local op cache
+        — loading the persistent op store from disk when one is configured,
+        so the first trial already runs warm.  Used by the
         process-pool worker initializer and ``repro serve``; every step is a
         pure cache fill, results are unaffected.
         """
@@ -137,7 +137,6 @@ class TrialEvaluator:
             from repro.runtime.opcache import get_op_cache
 
             get_op_cache(getattr(options, "op_cache_path", None))
-        self.attach_region_tiers()
         from repro.simulator.engine import precompile_graph
 
         sizes = tuple(batch_sizes) if batch_sizes else (DatapathConfig().native_batch_size,)
@@ -148,45 +147,6 @@ class TrialEvaluator:
                     precompile_graph(graph)
                 except Exception:
                     continue  # warm-up must never break evaluation
-
-    # ------------------------------------------------------------------
-    def attach_region_tiers(self):
-        """The process-local region cache with every configured tier wired.
-
-        Resolves the region cache for this evaluator's store path
-        (warm-loading the persistent region store on first touch) and, when
-        ``region_cache_service`` names a ``repro serve`` endpoint, attaches
-        a :class:`~repro.runtime.remote.RemoteCostCache` cluster client
-        keyed by this problem's fingerprint.  Idempotent and cheap after the
-        first call; used by the worker initializer, ``repro serve``, and the
-        per-trial setup path (so even a cold serial run gets its tiers).
-        Returns the cache, or None when region caching is disabled.
-        """
-        options = self.simulation_options
-        if not getattr(options, "region_cache_enabled", False):
-            return None
-        from repro.runtime.opcache import get_region_cache
-
-        cache = get_region_cache(getattr(options, "region_store_path", None))
-        url = getattr(options, "region_cache_service", None)
-        if url:
-            url = url.rstrip("/")
-            if getattr(cache.remote, "base_url", None) != url:
-                try:
-                    from repro.runtime.cache import problem_fingerprint
-                    from repro.runtime.remote import RemoteCostCache
-
-                    cache.attach_remote(
-                        RemoteCostCache(
-                            url,
-                            fingerprint=problem_fingerprint(
-                                self.problem, evaluator=self
-                            ),
-                        )
-                    )
-                except Exception:
-                    pass  # the cluster tier is additive; local tiers still work
-        return cache
 
     # ------------------------------------------------------------------
     def evaluate_params(
@@ -221,10 +181,6 @@ class TrialEvaluator:
             self.stage_seconds["evaluate"] += time.perf_counter() - started
 
     def _evaluate_config(self, config: DatapathConfig) -> TrialMetrics:
-        # Region-tier wiring is idempotent; doing it here (not just in
-        # warm_caches) means serial runs and cold workers also see the
-        # persistent store and the cluster tier from their first trial.
-        self.attach_region_tiers()
         with _tracer().span("area_power", category="simulate"):
             breakdown = self.area_power_model.evaluate(config)
         area = breakdown.total_area_mm2

@@ -8,13 +8,9 @@ engine, layered as:
 * :mod:`repro.runtime.cache` — persistent memoization of trial metrics with
   shard-safe concurrent writers, compaction, and size-cap auto-compaction,
 * :mod:`repro.runtime.opcache` — cross-trial memoization of per-op mapping
-  and vector costs plus whole evaluated fusion regions, keyed by problem
-  fingerprint + mapping-relevant sub-config, optionally persisted as JSON
-  lines (op store / region store) and optionally backed by a cluster cache
-  service,
-* :mod:`repro.runtime.shmcache` — zero-copy cross-worker cache sharing: the
-  pool parent publishes its warm op/region entries into one
-  ``multiprocessing.shared_memory`` segment that every worker attaches,
+  and vector costs (memory LRU, optionally persisted as a JSON-lines op
+  store) plus a private in-memory LRU of whole evaluated fusion regions,
+  keyed by graph fingerprint + mapping-relevant sub-config,
 * :mod:`repro.runtime.checkpoint` — periodic save + ``--resume`` support,
 * :mod:`repro.runtime.progress` — event bus for live progress reporting,
 * :mod:`repro.runtime.service` — stdlib HTTP evaluation service
@@ -86,7 +82,6 @@ from repro.runtime.faults import (
 from repro.runtime.remote import (
     AsyncRemoteExecutor,
     EndpointStats,
-    RemoteCostCache,
     RemoteExecutionError,
 )
 from repro.runtime.opcache import (
@@ -98,11 +93,6 @@ from repro.runtime.opcache import (
     get_region_cache,
     reset_op_caches,
     reset_region_caches,
-)
-from repro.runtime.shmcache import (
-    SharedCacheView,
-    attach_shared_cache,
-    publish_shared_cache,
 )
 from repro.runtime.profiling import (
     PROFILE_MODES,
@@ -174,9 +164,7 @@ __all__ = [
     "ProgressPrinter",
     "RegionCacheStats",
     "RegionCostCache",
-    "RemoteCostCache",
     "RemoteExecutionError",
-    "SharedCacheView",
     "Scoreboard",
     "ScoreRecord",
     "SearchCheckpoint",
@@ -194,7 +182,6 @@ __all__ = [
     "TrialExecutor",
     "WorkerCrashError",
     "apply_telemetry_config",
-    "attach_shared_cache",
     "chrome_trace_events",
     "clear_faults",
     "compact_cache",
@@ -216,7 +203,6 @@ __all__ = [
     "problem_fingerprint",
     "profile_search",
     "proposal_key",
-    "publish_shared_cache",
     "register_executor",
     "reset_metrics",
     "reset_op_caches",

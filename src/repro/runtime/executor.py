@@ -59,8 +59,8 @@ class WorkerCrashError(RuntimeError):
 # Worker-process plumbing.  The evaluator/space are installed once per worker
 # by the pool initializer, which also pre-warms the worker's caches: the
 # workload graphs and compiled regions (a no-op under fork, where the warm
-# parent entries are inherited outright) and the shared op / region cost
-# caches, including loading the persistent op store from disk when the
+# parent entries are inherited outright) and the process-local op / region
+# cost caches, including loading the persistent op store from disk when the
 # evaluator is configured with one.  Per-task payloads are just the
 # parameter dicts; graphs are never pickled.
 #
@@ -72,39 +72,20 @@ class WorkerCrashError(RuntimeError):
 # ---------------------------------------------------------------------------
 _WORKER_EVALUATOR: Optional[TrialEvaluator] = None
 _WORKER_SPACE: Optional[DatapathSearchSpace] = None
-# 1 on the first task after this worker attached a parent-published
-# shared-memory cache segment, then cleared: the parent sums these into
-# ``shared_cache_attached`` (how many workers started on the zero-copy tier).
-_WORKER_SHARED_ATTACH_PENDING: int = 0
 
 
-def _worker_caches(
-    evaluator: TrialEvaluator,
-    op_preload: bool = True,
-    region_preload: bool = True,
-):
-    """(op cache, region cache) this worker's evaluator uses, or Nones.
-
-    The preload flags only matter for the call that constructs a cache: a
-    worker that just attached a shared-memory segment already covering the
-    persistent store passes False so it never duplicates the parent's disk
-    load (fork-started workers inherit an already-constructed cache and are
-    unaffected either way).
-    """
+def _worker_caches(evaluator: TrialEvaluator):
+    """(op cache, region cache) this worker's evaluator uses, or Nones."""
     options = getattr(evaluator, "simulation_options", None)
     op_cache = region_cache = None
     if options is not None and getattr(options, "op_cache_enabled", False):
         from repro.runtime.opcache import get_op_cache
 
-        op_cache = get_op_cache(
-            getattr(options, "op_cache_path", None), preload=op_preload
-        )
+        op_cache = get_op_cache(getattr(options, "op_cache_path", None))
     if options is not None and getattr(options, "region_cache_enabled", False):
         from repro.runtime.opcache import get_region_cache
 
-        region_cache = get_region_cache(
-            getattr(options, "region_store_path", None), preload=region_preload
-        )
+        region_cache = get_region_cache()
     return op_cache, region_cache
 
 
@@ -113,9 +94,8 @@ def _init_worker(
     space: DatapathSearchSpace,
     warm_start: bool = True,
     telemetry: Optional[dict] = None,
-    shared_index=None,
 ) -> None:
-    global _WORKER_EVALUATOR, _WORKER_SPACE, _WORKER_SHARED_ATTACH_PENDING
+    global _WORKER_EVALUATOR, _WORKER_SPACE
     _WORKER_EVALUATOR = evaluator
     _WORKER_SPACE = space
     # Always install a fresh worker tracer (disabled when telemetry is None):
@@ -123,32 +103,6 @@ def _init_worker(
     # a task delta, and fresh construction gives each worker its own span-id
     # salt, so span ids stay unique across the pool.
     apply_telemetry_config(telemetry)
-    if shared_index is not None:
-        # Zero-copy tier: attach the parent-published cache segment instead
-        # of re-warming privately.  Any failure (no /dev/shm, the parent
-        # unlinked early, ...) falls back to the private path below.
-        try:
-            from repro.runtime.shmcache import attach_shared_cache
-
-            view = attach_shared_cache(shared_index)
-            if view is not None:
-                # A table in the segment carries every raw entry the parent
-                # held — including its warm-loaded persistent store — so a
-                # fresh (spawn-started) worker skips its own disk load for
-                # any cache the segment covers.
-                op_cache, region_cache = _worker_caches(
-                    evaluator,
-                    op_preload=not shared_index.op_index,
-                    region_preload=not shared_index.region_index,
-                )
-                if op_cache is not None:
-                    op_cache.attach_shared(view.op_lookup)
-                if region_cache is not None:
-                    region_cache.attach_shared(view.region_lookup)
-                if op_cache is not None or region_cache is not None:
-                    _WORKER_SHARED_ATTACH_PENDING = 1
-        except Exception:
-            pass  # shared tier is best effort; private warm path follows
     if warm_start:
         warm = getattr(evaluator, "warm_caches", None)
         if callable(warm):
@@ -166,23 +120,13 @@ def cache_counter_snapshot(op_cache, region_cache) -> dict:
         snap["op_cache_hits"] = stats.hits
         snap["op_cache_misses"] = stats.misses
         snap["op_cache_disk_hits"] = stats.disk_hits
-        snap["op_cache_shared_hits"] = stats.shared_hits
     if region_cache is not None:
-        stats = region_cache.stats
-        snap["region_cache_hits"] = stats.hits
-        snap["region_cache_misses"] = stats.misses
-        snap["region_cache_disk_hits"] = stats.disk_hits
-        snap["region_cache_shared_hits"] = stats.shared_hits
-        snap["remote_cache_hits"] = stats.remote_hits
-        snap["remote_cache_misses"] = stats.remote_misses
-        snap["remote_cache_puts"] = stats.remote_puts
-        snap["remote_cache_requests"] = stats.remote_requests
-        snap["remote_cache_failures"] = stats.remote_failures
+        snap["region_cache_hits"] = region_cache.stats.hits
+        snap["region_cache_misses"] = region_cache.stats.misses
     return snap
 
 
 def _evaluate_in_worker(task):
-    global _WORKER_SHARED_ATTACH_PENDING
     params, crash = task
     if crash:
         # Injected worker death (``worker-crash`` fault): die the way an OOM
@@ -196,11 +140,6 @@ def _evaluate_in_worker(task):
     stage_before = dict(getattr(evaluator, "stage_seconds", None) or {})
     cache_before = cache_counter_snapshot(op_cache, region_cache)
     metrics = evaluator.evaluate_params(params, _WORKER_SPACE)
-    if region_cache is not None and region_cache.remote is not None:
-        # Push this task's freshly computed regions to the cluster tier
-        # before the counter snapshot, so ``remote_cache_puts`` lands in
-        # this task's delta instead of trickling out with the next one.
-        region_cache.flush_remote()
     stage_after = getattr(evaluator, "stage_seconds", None) or {}
     cache_after = cache_counter_snapshot(op_cache, region_cache)
     delta = {
@@ -212,10 +151,6 @@ def _evaluate_in_worker(task):
         "fusion_seconds": stage_after.get("fusion", 0.0) - stage_before.get("fusion", 0.0),
         "eval_seconds": stage_after.get("evaluate", 0.0) - stage_before.get("evaluate", 0.0),
     })
-    if _WORKER_SHARED_ATTACH_PENDING:
-        # Reported exactly once per attach, with the worker's first task.
-        delta["shared_cache_attached"] = _WORKER_SHARED_ATTACH_PENDING
-        _WORKER_SHARED_ATTACH_PENDING = 0
     # Named engine echo: proof the worker inherited the parent's EngineSpec
     # through the initializer (a forked pool silently falling back to the
     # default engine would show up here and in ``repro profile``).
@@ -282,11 +217,12 @@ class ParallelExecutor(TrialExecutor):
     are collected with an order-preserving ``map``, so trial ordering (and
     hence the optimizer trajectory) is identical to a serial run.
 
-    Workers start *warm*: the pool initializer pre-builds the problem's
-    workload graphs and compiled regions and attaches the shared op / region
-    cost caches — loading the persistent op store from disk when the
-    evaluator is configured with one (``--op-cache PATH``), which is how a
-    pool shares one op store across workers, searches, and sweep shards.
+    Workers start *warm*: fork-started workers inherit the parent's graphs,
+    compiled regions and op / region cost caches, and the pool initializer
+    fills whatever is still missing — loading the persistent op store from
+    disk when the evaluator is configured with one (``--op-cache PATH``),
+    which is how a pool shares one op store across workers, searches, and
+    sweep shards.  Each worker's region cache stays private to it.
     Worker-side cache hits and per-stage timings flow back with every result
     and surface through :meth:`runtime_counters`.
 
@@ -308,13 +244,6 @@ class ParallelExecutor(TrialExecutor):
         max_worker_restarts: Pool rebuilds tolerated for one batch before
             :class:`WorkerCrashError` is raised (a batch that *always*
             kills its worker would otherwise respawn forever).
-        shared_cache: Publish the parent's warm op / region cache entries
-            into a ``multiprocessing.shared_memory`` segment that workers
-            attach zero-copy (on by default; bit-for-bit neutral).  Workers
-            of a pool built (or respawned) from a warm parent then serve
-            their first batch from cache with no per-fork re-warm compute
-            and no duplicated cache RSS; any publish or attach failure
-            falls back to the private warm path.
     """
 
     name = "parallel"
@@ -325,15 +254,12 @@ class ParallelExecutor(TrialExecutor):
         chunk_size: int = 1,
         warm_start: bool = True,
         max_worker_restarts: int = 3,
-        shared_cache: bool = True,
     ) -> None:
         self.num_workers = max(1, int(num_workers or os.cpu_count() or 1))
         self.chunk_size = max(1, int(chunk_size))
         self.warm_start = bool(warm_start)
         self.max_worker_restarts = max(0, int(max_worker_restarts))
-        self.shared_cache = bool(shared_cache)
         self.worker_restarts = 0
-        self._shared_publisher = None
         self._pool: Optional[ProcessPoolExecutor] = None
         # Strong references to the objects the pool was initialized with;
         # identity is checked with ``is`` (never id() of possibly-collected
@@ -355,40 +281,14 @@ class ParallelExecutor(TrialExecutor):
         ):
             self.close()
         if self._pool is None:
-            shared_index = None
-            if self.shared_cache:
-                shared_index = self._publish_shared_cache(evaluator)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.num_workers,
                 initializer=_init_worker,
-                initargs=(evaluator, space, self.warm_start, telemetry, shared_index),
+                initargs=(evaluator, space, self.warm_start, telemetry),
             )
             self._pool_args = (evaluator, space)
             self._pool_telemetry = telemetry
         return self._pool
-
-    def _publish_shared_cache(self, evaluator: TrialEvaluator):
-        """Publish the parent's warm cache entries for this pool (best effort).
-
-        Runs on every pool (re)build: a respawned pool republishes from the
-        parent's current caches, so crash-respawned workers attach a live
-        segment and start hot exactly like first-start workers.  Returns the
-        picklable index for the initializer, or None to use the private
-        warm path.
-        """
-        try:
-            from repro.runtime.shmcache import publish_shared_cache
-
-            op_cache, region_cache = _worker_caches(evaluator)
-            publisher = publish_shared_cache(op_cache, region_cache)
-        except Exception:
-            return None
-        if publisher is None:
-            return None
-        if self._shared_publisher is not None:
-            self._shared_publisher.close()
-        self._shared_publisher = publisher
-        return publisher.index
 
     def evaluate_batch(
         self,
@@ -462,8 +362,6 @@ class ParallelExecutor(TrialExecutor):
         """
         counters: Dict[str, float] = dict(self._worker_totals)
         counters["worker_restarts"] = self.worker_restarts
-        if self._shared_publisher is not None:
-            counters["shared_cache_entries"] = self._shared_publisher.index.num_entries
         return counters
 
     def close(self) -> None:
@@ -472,11 +370,6 @@ class ParallelExecutor(TrialExecutor):
             self._pool = None
             self._pool_args = None
             self._pool_telemetry = None
-        if self._shared_publisher is not None:
-            # Unlink the published segment; workers that attached keep their
-            # mappings, and a respawn republishes from the parent's caches.
-            self._shared_publisher.close()
-            self._shared_publisher = None
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +382,9 @@ def _make_serial(**_options) -> TrialExecutor:
 
 
 def _make_process(
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    shared_cache: bool = True,
-    **_options,
+    workers: int = 1, chunk_size: Optional[int] = None, **_options
 ) -> TrialExecutor:
-    return ParallelExecutor(
-        num_workers=workers, chunk_size=chunk_size or 1, shared_cache=shared_cache
-    )
+    return ParallelExecutor(num_workers=workers, chunk_size=chunk_size or 1)
 
 
 def _make_remote(endpoints: Optional[Sequence[str]] = None, **options) -> TrialExecutor:

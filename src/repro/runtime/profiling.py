@@ -48,21 +48,12 @@ class ProfileMode:
     op_cache: bool
     region_cache: bool = False
     workers: int = 1
-    #: Publish the parent's warm cache entries into a shared-memory segment
-    #: that pool workers attach zero-copy (parallel modes only).  Off by
-    #: default so ``parallel-2`` keeps its historical private-warm meaning
-    #: and ``parallel-2+shared-cache`` measures the shared tier against it.
-    shared_cache: bool = False
 
 
 #: The standard comparison ladder, slowest first; the first mode is the
 #: reference whose history every other mode must reproduce bit-for-bit.
 #: ``parallel-2`` runs the default fast path on a 2-worker warm process
-#: pool — the row that keeps executor regressions visible — and
-#: ``parallel-2+shared-cache`` reruns it with the parent's warm cache
-#: entries published to a shared-memory segment the workers attach
-#: zero-copy, so the shared tier is always measured against the private
-#: warm path it must not lose to.
+#: pool — the row that keeps executor regressions visible.
 PROFILE_MODES = (
     ProfileMode("scalar", vectorized_mapper=False, op_cache=False),
     ProfileMode("graph-batched", vectorized_mapper=True, op_cache=False),
@@ -79,14 +70,6 @@ PROFILE_MODES = (
         op_cache=True,
         region_cache=True,
         workers=2,
-    ),
-    ProfileMode(
-        "parallel-2+shared-cache",
-        vectorized_mapper=True,
-        op_cache=True,
-        region_cache=True,
-        workers=2,
-        shared_cache=True,
     ),
 )
 
@@ -107,9 +90,6 @@ class ProfileRecord:
     region_cache_hits: int = 0
     region_cache_misses: int = 0
     region_cache_hit_rate: float = 0.0
-    region_cache_disk_hits: int = 0
-    shared_cache_attached: int = 0
-    shared_cache_entries: int = 0
     workers: int = 1
     engine: str = ""
 
@@ -128,9 +108,6 @@ class ProfileRecord:
             "region_cache_hits": self.region_cache_hits,
             "region_cache_misses": self.region_cache_misses,
             "region_cache_hit_rate": self.region_cache_hit_rate,
-            "region_cache_disk_hits": self.region_cache_disk_hits,
-            "shared_cache_attached": self.shared_cache_attached,
-            "shared_cache_entries": self.shared_cache_entries,
             "workers": self.workers,
             "engine": self.engine,
         }
@@ -345,23 +322,10 @@ def profile_search(
         reset_op_caches()
         fixture = mode_fixture(mode)
         executor = (
-            ParallelExecutor(num_workers=mode.workers, shared_cache=mode.shared_cache)
-            if mode.workers > 1
-            else None
+            ParallelExecutor(num_workers=mode.workers) if mode.workers > 1 else None
         )
         try:
-            # For the shared-cache mode the warm-up pass runs serially: a
-            # parallel warm-up leaves the *parent* caches cold (workers do
-            # all the evaluating), so the pool build would have nothing to
-            # publish.  Warming the parent first means the timed run's pool
-            # publishes a populated segment and every worker starts by
-            # attaching it — the respawn scenario the shared tier exists for.
-            warm_parent_serially = (
-                warm_op_cache and mode.shared_cache and executor is not None
-            )
-            result = run_once(
-                mode, *fixture, executor=None if warm_parent_serially else executor
-            )
+            result = run_once(mode, *fixture, executor=executor)
             warmable = mode.op_cache or mode.region_cache or mode.workers > 1
             if warmable and warm_op_cache:
                 result = run_once(mode, *fixture, executor=executor)  # steady state
@@ -394,9 +358,6 @@ def profile_search(
             region_cache_hits=stats.region_cache_hits,
             region_cache_misses=stats.region_cache_misses,
             region_cache_hit_rate=stats.region_cache_hit_rate,
-            region_cache_disk_hits=stats.region_cache_disk_hits,
-            shared_cache_attached=stats.shared_cache_attached,
-            shared_cache_entries=stats.shared_cache_entries,
             workers=mode.workers,
             engine=stats.engine
             or str(EngineSpec.from_simulation_options(_mode_options(mode))),

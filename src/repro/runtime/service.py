@@ -18,17 +18,6 @@ Wire protocol (all bodies are JSON):
   histories from services running a different problem, space, or simulator
   configuration.  Response: ``{"fingerprint", "results": [metrics...]}`` in
   request order.
-* ``GET /cache/region`` / ``PUT /cache/region`` — the cluster tier of the
-  shared cost-cache (see :mod:`repro.runtime.opcache`): GET takes
-  ``{"fingerprint", "digests": [...]}`` and returns the known subset as
-  ``{"entries": {digest: raw, ...}}``; PUT takes ``{"fingerprint",
-  "entries": {...}}`` and answers ``{"stored": n}``.  Region digests are
-  self-authenticating (each hashes the graph fingerprint plus the full
-  mapping-relevant configuration), so the declared fingerprint is checked
-  for form (16 lowercase hex digits, HTTP 400 otherwise) rather than
-  recomputed; entries are served from — and persisted to, when
-  ``--engine region_store=`` is set — the service's process-local
-  :class:`~repro.runtime.opcache.RegionCostCache`.
 * ``GET /scoreboard`` / ``POST /scoreboard`` — the service-backed
   cross-shard best-score exchange (see :mod:`repro.runtime.exchange`):
   shards POST ``{"shard_id", "objective", "score", "params", "trials"}``
@@ -38,6 +27,10 @@ Wire protocol (all bodies are JSON):
 * ``GET /metrics`` — Prometheus text exposition of the service's
   request/trial/cache/evaluation metrics (see
   :mod:`repro.runtime.telemetry`), ready for scraping.
+
+Any other route answers HTTP 404.  Cost caches are process-local to the
+service (see :mod:`repro.runtime.opcache`); ``repro serve --op-cache PATH``
+keeps a warm persistent op store across requests and clients.
 
 Every request is wrapped in a ``serve_request`` telemetry span; when the
 client sends an ``X-Repro-Trace-Context`` header (the remote executor does,
@@ -63,7 +56,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -93,12 +85,6 @@ __all__ = ["ServiceStats", "EvaluationService", "serve"]
 # runs stay quiet; ``repro serve --verbose`` raises the level to show them.
 logger = logging.getLogger("repro.runtime.service")
 
-#: Declared problem fingerprints are 16 lowercase hex digits (see
-#: :func:`repro.runtime.cache.problem_fingerprint`).  Cache routes check the
-#: form only: region digests are self-authenticating, but a malformed
-#: fingerprint means a confused client and gets a 400 instead of silence.
-_FINGERPRINT_RE = re.compile(r"[0-9a-f]{16}")
-
 
 @dataclass
 class ServiceStats:
@@ -109,10 +95,6 @@ class ServiceStats:
     trials_evaluated: int = 0
     fingerprint_rejections: int = 0
     errors: int = 0
-    region_cache_gets: int = 0
-    region_cache_puts: int = 0
-    region_entries_served: int = 0
-    region_entries_stored: int = 0
 
 
 def space_from_payload(payload: object) -> DatapathSearchSpace:
@@ -183,11 +165,6 @@ class EvaluationService:
             from repro.runtime.opcache import get_op_cache
 
             get_op_cache(self.simulation_overrides["op_cache_path"])
-        # Warm-load the region store (if any) and keep raw entries around
-        # even without one, so ``/cache/region`` can serve what this
-        # service's own evaluations produce (publish_raw keeps the
-        # digest-keyed raw memo populated on a path-less cache).
-        self._region_cache().publish_raw = True
         self.stats = ServiceStats()
         self.started_at = time.time()
         # Per-service registry/tracer (not the process globals): tests run
@@ -282,67 +259,6 @@ class EvaluationService:
         evaluator.warm_caches()
         self._evaluators[fingerprint] = (evaluator, space)
         return fingerprint, evaluator, space
-
-    def _region_cache(self):
-        """The process-local region cache backing ``/cache/region``."""
-        from repro.runtime.opcache import get_region_cache
-
-        return get_region_cache(self.simulation_overrides.get("region_store_path"))
-
-    def region_cache_payload(self, method: str, payload: dict) -> Tuple[int, dict]:
-        """Handle one ``GET``/``PUT /cache/region`` body; returns (status, body).
-
-        The fingerprint is validated for form only (16 lowercase hex digits):
-        region digests hash the graph fingerprint plus the mapping-relevant
-        configuration themselves, so a digest can never alias an entry from a
-        different problem.  GET serves the known subset of the requested
-        digests; PUT stores previously-unknown entries (appending to the
-        region store when the service has one).
-        """
-        fingerprint = payload.get("fingerprint")
-        if not isinstance(fingerprint, str) or not _FINGERPRINT_RE.fullmatch(
-            fingerprint
-        ):
-            return 400, {
-                "error": "missing or malformed fingerprint "
-                "(expected 16 lowercase hex digits)"
-            }
-        cache = self._region_cache()
-        outcomes = self.metrics.counter(
-            "repro_service_cache_entries_total",
-            "Region-cache entries served/stored by /cache/region, by outcome.",
-            ("outcome",),
-        )
-        if method == "GET":
-            digests = payload.get("digests")
-            if not isinstance(digests, list) or not all(
-                isinstance(digest, str) for digest in digests
-            ):
-                return 400, {"error": "digests must be a list of strings"}
-            entries: Dict[str, dict] = {}
-            for digest in digests:
-                raw = cache.raw_lookup(digest)
-                if raw is not None:
-                    entries[digest] = raw
-            self.stats.region_cache_gets += 1
-            self.stats.region_entries_served += len(entries)
-            outcomes.inc(len(entries), outcome="hit")
-            outcomes.inc(len(digests) - len(entries), outcome="miss")
-            return 200, {"fingerprint": fingerprint, "entries": entries}
-        entries_payload = payload.get("entries")
-        if not isinstance(entries_payload, dict):
-            return 400, {"error": "entries must be a digest-keyed object"}
-        stored = 0
-        for digest, raw in entries_payload.items():
-            if not isinstance(digest, str) or not isinstance(raw, dict):
-                return 400, {"error": "entries must map digest strings to objects"}
-            if cache.raw_lookup(digest) is None:
-                cache._store_raw(digest, raw)
-                stored += 1
-        self.stats.region_cache_puts += 1
-        self.stats.region_entries_stored += stored
-        outcomes.inc(stored, outcome="stored")
-        return 200, {"fingerprint": fingerprint, "stored": stored}
 
     def evaluate_payload(self, payload: dict) -> Tuple[int, dict]:
         """Handle one ``/evaluate`` request body; returns (status, response)."""
@@ -463,16 +379,9 @@ class EvaluationService:
         )
         cache.set(op_hits, cache="op", outcome="hit")
         cache.set(op_misses, cache="op", outcome="miss")
-        region_cache = get_region_cache(
-            self.simulation_overrides.get("region_store_path")
-        )
-        region_hits, region_misses = region_cache.snapshot_counters()
+        region_hits, region_misses = get_region_cache().snapshot_counters()
         cache.set(region_hits, cache="region", outcome="hit")
         cache.set(region_misses, cache="region", outcome="miss")
-        gauge(
-            "repro_service_region_entries",
-            "Raw region entries the /cache/region tier can serve.",
-        ).set(len(region_cache._disk_index))
         return self.metrics.expose()
 
     def health_snapshot(self) -> dict:
@@ -487,11 +396,6 @@ class EvaluationService:
             "trials_evaluated": self.stats.trials_evaluated,
             "fingerprint_rejections": self.stats.fingerprint_rejections,
             "errors": self.stats.errors,
-            "region_cache_gets": self.stats.region_cache_gets,
-            "region_cache_puts": self.stats.region_cache_puts,
-            "region_entries_served": self.stats.region_entries_served,
-            "region_entries_stored": self.stats.region_entries_stored,
-            "region_entries": len(self._region_cache()._disk_index),
             "known_fingerprints": sorted(self._evaluators),
         }
 
@@ -571,6 +475,8 @@ def _make_handler(service: EvaluationService):
             self._handle("POST")
 
         def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
+            # No route takes PUT: answer 404 like any unknown path, not the
+            # stdlib's 501.
             self._handle("PUT")
 
         def _handle(self, method: str) -> None:
@@ -598,7 +504,7 @@ def _make_handler(service: EvaluationService):
                 )
 
         def _dispatch(self, method: str, route: str, trace_header, span) -> int:
-            if method == "GET" and route != "/cache/region":
+            if method == "GET":
                 if route == "/health":
                     return self._reply(200, service.health_snapshot())
                 if route == "/scoreboard":
@@ -606,22 +512,11 @@ def _make_handler(service: EvaluationService):
                 if route == "/metrics":
                     return self._reply_text(200, service.metrics_exposition())
                 return self._reply(404, {"error": f"unknown path {route}"})
+            if method == "PUT":
+                return self._reply(404, {"error": f"unknown path {route}"})
             payload = self._read_json()
             if payload is None:
                 return 400
-            if route == "/cache/region":
-                if method not in ("GET", "PUT"):
-                    return self._reply(
-                        405, {"error": "use GET or PUT on /cache/region"}
-                    )
-                try:
-                    status, body = service.region_cache_payload(method, payload)
-                except Exception as error:  # defensive: never kill the thread
-                    service.stats.errors += 1
-                    status, body = 500, {"error": f"cache request failed: {error}"}
-                return self._reply(status, body)
-            if method == "PUT":
-                return self._reply(404, {"error": f"unknown path {route}"})
             if route == "/evaluate":
                 try:
                     status, body = service.evaluate_payload(payload)
@@ -672,10 +567,6 @@ def serve(
         overrides["vectorized_mapper"] = engine.mapper != "scalar"
         overrides["op_cache_enabled"] = engine.op_cache
         overrides["region_cache_enabled"] = engine.region_cache
-        if engine.region_store is not None:
-            overrides["region_store_path"] = engine.region_store
-        if engine.cache_service is not None:
-            overrides["region_cache_service"] = engine.cache_service
     if op_cache_path:
         overrides["op_cache_enabled"] = True
         overrides["op_cache_path"] = op_cache_path

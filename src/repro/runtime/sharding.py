@@ -239,13 +239,13 @@ def run_shard(
     ``engine`` (an :class:`~repro.simulator.enginespec.EngineSpec`) selects
     the evaluation engine for every shard; when set it supersedes the legacy
     ``op_cache_enabled`` toggle.  Both mapper engines are bit-for-bit
-    equivalent, so the merged sweep result is engine-independent.  An
-    engine with ``region_store=PATH`` gives every shard (and its pool
-    workers) one shared persistent region store the same way
-    ``op_cache_path`` shares op costs — appends are single-write and
-    duplicate-tolerant, so concurrent shards racing the same region key
-    are safe and compaction later folds the duplicates; ``cache_service=URL``
-    attaches each shard to a cluster cache service instead.
+    equivalent, so the merged sweep result is engine-independent.  The
+    region cache is private to each process: shards run in one process
+    share it, shards on other hosts or pool workers keep their own.  Only
+    op costs persist across processes, through ``op_cache_path``, whose
+    appends are single-write and duplicate-tolerant, so concurrent shards
+    racing the same op key are safe and compaction later folds the
+    duplicates.
     """
     from repro.core.trial import TrialEvaluator
     from repro.simulator.engine import SimulationOptions

@@ -54,7 +54,7 @@ def _tracer():
 class SimulationOptions:
     """Knobs controlling a simulation run.
 
-    The last six fields are performance knobs that never change results
+    The last four fields are performance knobs that never change results
     (both mapping engines are bit-for-bit equivalent, and cache hits return
     exactly what a fresh evaluation would compute):
 
@@ -68,13 +68,6 @@ class SimulationOptions:
     * ``op_cache_enabled`` — share per-op mapping/vector costs across trials
       through the process-local :func:`repro.runtime.opcache.get_op_cache`.
     * ``op_cache_path`` — optionally persist that cache as JSON lines.
-    * ``region_store_path`` — optionally persist the region cache the same
-      way (``--engine region_store=PATH``): evaluated regions append to a
-      digest-keyed JSONL store that later runs, sweep shards, and
-      ``repro serve`` warm-load.
-    * ``region_cache_service`` — base URL of a ``repro serve`` endpoint
-      whose ``/cache/region`` routes act as a cluster-wide region tier;
-      misses are batch-prefetched from it and local results pushed back.
 
     Prefer building these knobs through
     :class:`repro.simulator.enginespec.EngineSpec` — the one-string engine
@@ -88,8 +81,6 @@ class SimulationOptions:
     region_cache_enabled: bool = True
     op_cache_enabled: bool = True
     op_cache_path: Optional[str] = None
-    region_store_path: Optional[str] = None
-    region_cache_service: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +307,7 @@ class Simulator:
         if self.options.region_cache_enabled:
             from repro.runtime.opcache import get_region_cache
 
-            self.region_cache = get_region_cache(self.options.region_store_path)
+            self.region_cache = get_region_cache()
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -357,10 +348,6 @@ class Simulator:
         if region_cache is not None:
             key_base = self._region_key_base(graph, compiled)
             region_keys = [key_base + (region.index,) for region in plan]
-            if region_cache.remote is not None:
-                # Cluster tier: resolve every locally-unserved key in one
-                # batched round trip before the accounted per-key lookups.
-                region_cache.prefetch(region_keys)
             cached_entries = [region_cache.get(key) for key in region_keys]
 
         gather_ops: List[Operation] = []

@@ -1,7 +1,7 @@
 """The unified engine-spec API: one value naming the evaluation engine.
 
 :class:`EngineSpec` gathers every engine knob — the mapper engine and the
-cost-cache tiers — into one frozen value object with a compact string
+two cost caches — into one frozen value object with a compact string
 grammar, the ``--engine`` flag on ``repro search/sweep/profile/serve``::
 
     MAPPER[:key=value[,key=value...]]
@@ -9,16 +9,12 @@ grammar, the ``--engine`` flag on ``repro search/sweep/profile/serve``::
     --engine graph-batched                      # the default engine
     --engine scalar                             # bit-for-bit reference loop
     --engine graph-batched:op_cache=off,region_cache=off
-    --engine graph-batched:region_store=runs/regions.jsonl
-    --engine graph-batched:cache_service=http://cache-host:8642
 
 ``MAPPER`` is ``scalar`` (the pure-Python reference loop) or
-``graph-batched`` (one stacked NumPy candidate sweep per trial); keys are
-``op_cache`` and ``region_cache`` (booleans:
-``on/off/true/false/yes/no/1/0``), ``region_store`` (a path — persist region
-results as a JSONL store the way ``--op-cache`` persists op costs) and
-``cache_service`` (a ``repro serve`` base URL whose ``/cache/region`` routes
-act as the cluster-wide region tier).  ``str()`` of a spec is canonical and
+``graph-batched`` (one stacked NumPy candidate sweep per trial); the keys
+are ``op_cache`` and ``region_cache`` (booleans:
+``on/off/true/false/yes/no/1/0``).  The op store's path is not an engine
+knob: it is ``--op-cache PATH``.  ``str()`` of a spec is canonical and
 round-trips through :meth:`EngineSpec.parse`, omitting values that equal the
 defaults.
 """
@@ -26,7 +22,7 @@ defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = ["EngineSpec", "MAPPER_MODES", "DEFAULT_ENGINE"]
 
@@ -56,8 +52,6 @@ class EngineSpec:
     mapper: str = "graph-batched"
     op_cache: bool = True
     region_cache: bool = True
-    region_store: Optional[str] = None
-    cache_service: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mapper not in MAPPER_MODES:
@@ -97,21 +91,12 @@ class EngineSpec:
                     raise ValueError(
                         f"engine spec option {item!r} is not key=value"
                     )
-                if key in ("op_cache", "region_cache"):
-                    values[key] = _parse_bool(key, value)
-                elif key in ("region_store", "cache_service"):
-                    stripped = value.strip()
-                    if not stripped:
-                        raise ValueError(
-                            f"engine spec: {key} needs a non-empty value"
-                        )
-                    values[key] = stripped
-                else:
+                if key not in ("op_cache", "region_cache"):
                     raise ValueError(
                         f"unknown engine spec option {key!r} "
-                        "(expected op_cache / region_cache / region_store / "
-                        "cache_service)"
+                        "(expected op_cache / region_cache)"
                     )
+                values[key] = _parse_bool(key, value)
         return cls(**values)
 
     def __str__(self) -> str:
@@ -124,10 +109,6 @@ class EngineSpec:
             options.append(
                 f"region_cache={'on' if self.region_cache else 'off'}"
             )
-        if self.region_store is not None:
-            options.append(f"region_store={self.region_store}")
-        if self.cache_service is not None:
-            options.append(f"cache_service={self.cache_service}")
         if options:
             return f"{self.mapper}:{','.join(options)}"
         return self.mapper
@@ -146,8 +127,6 @@ class EngineSpec:
             vectorized_mapper=self.mapper != "scalar",
             op_cache_enabled=self.op_cache,
             region_cache_enabled=self.region_cache,
-            region_store_path=self.region_store,
-            region_cache_service=self.cache_service,
             **extra,
         )
 
@@ -167,8 +146,6 @@ class EngineSpec:
             mapper="graph-batched" if vectorized else "scalar",
             op_cache=bool(getattr(options, "op_cache_enabled", True)),
             region_cache=bool(getattr(options, "region_cache_enabled", True)),
-            region_store=getattr(options, "region_store_path", None),
-            cache_service=getattr(options, "region_cache_service", None),
         )
 
 

@@ -214,7 +214,6 @@ class TestCommands:
             "graph-batched+region-cache",
             "graph-batched+op-cache",
             "parallel-2",
-            "parallel-2+shared-cache",
         ]
 
     def test_sweep_smoke_golden_output(self, tmp_path, capsys):

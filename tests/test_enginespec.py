@@ -87,6 +87,8 @@ class TestEngineSpec:
             "graph-batched:op_cache",
             "graph-batched:backend=fortran",
             "scalar:backend=torch",
+            "graph-batched:region_store=x.jsonl",
+            "graph-batched:cache_service=http://h:1",
         ],
     )
     def test_parse_rejects(self, text):
@@ -101,10 +103,17 @@ class TestEngineSpec:
             EngineSpec(mapper=text)
 
     def test_removed_backend_option_rejected_naming_accepted_keys(self):
-        with pytest.raises(
-            ValueError, match="op_cache / region_cache / region_store / cache_service"
+        # The array backend, the region store and the cluster cache service
+        # were engine keys once; each is now an unknown key.
+        for text in (
+            "graph-batched:backend=numpy",
+            "graph-batched:region_store=x.jsonl",
+            "graph-batched:cache_service=http://h:1",
         ):
-            EngineSpec.parse("graph-batched:backend=numpy")
+            with pytest.raises(
+                ValueError, match=r"\(expected op_cache / region_cache\)"
+            ):
+                EngineSpec.parse(text)
 
     def test_reference_spelling_round_trips(self):
         # The scalar reference spelling other tools pass on the command line.
@@ -120,7 +129,7 @@ class TestEngineSpec:
             EngineSpec(mapper="scalar"),
             EngineSpec(mapper="scalar", op_cache=False),
             EngineSpec(op_cache=False, region_cache=False),
-            EngineSpec(region_store="runs/regions.jsonl"),
+            EngineSpec(mapper="scalar", region_cache=False),
         ],
     )
     def test_str_round_trips(self, spec):
@@ -182,7 +191,13 @@ class TestOldInputsLoad:
         assert options.region_cache_enabled is False
         assert options.mapper_options.vectorize is True
         assert options.mapper_options.max_tiling_candidates == 48
-        for removed in ("graph_batched_mapper", "trial_batched_mapper", "backend"):
+        for removed in (
+            "graph_batched_mapper",
+            "trial_batched_mapper",
+            "backend",
+            "region_store_path",
+            "region_cache_service",
+        ):
             assert not hasattr(options, removed)
         assert not hasattr(options.mapper_options, "backend")
         assert EngineSpec.from_simulation_options(options) == EngineSpec(
@@ -195,6 +210,8 @@ class TestOldInputsLoad:
             ("graph_batched_mapper", False),
             ("trial_batched_mapper", True),
             ("backend", "torch"),
+            ("region_store_path", "runs/regions.jsonl"),
+            ("region_cache_service", "http://cache-host:8642"),
         ],
     )
     def test_each_removed_key_is_ignored_alone(self, key, value):

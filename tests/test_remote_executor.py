@@ -345,6 +345,16 @@ class TestServiceProtocol:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(service.url + "/nope", timeout=5)
         assert excinfo.value.code == 404
+        # The region-cache routes are gone: GET and PUT both 404.
+        for method in ("GET", "PUT"):
+            request = urllib.request.Request(
+                service.url + "/cache/region",
+                data=b'{"digests": []}' if method == "PUT" else None,
+                method=method,
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=5)
+            assert excinfo.value.code == 404, method
 
 
 # ---------------------------------------------------------------------------
