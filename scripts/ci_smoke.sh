@@ -29,6 +29,32 @@ smoke_search() {
         --workers 2 --batch-size 4 \
         --cache "$SMOKE_DIR/trials.jsonl" --checkpoint "$SMOKE_DIR/search.ckpt" \
         --progress
+
+    log "search smoke: serial and 2-worker runs report the same statistics"
+    local common=(--workload efficientnet-b0 --trials 16 --batch-size 4 --seed 3
+                  --history --engine graph-batched:region_cache=off)
+    python -m repro search "${common[@]}" --output "$SMOKE_DIR/stats-serial.json"
+    python -m repro search "${common[@]}" --workers 2 \
+        --output "$SMOKE_DIR/stats-workers2.json"
+    python - "$SMOKE_DIR/stats-serial.json" "$SMOKE_DIR/stats-workers2.json" <<'PY'
+import json, sys
+serial, pool = (json.load(open(path)) for path in sys.argv[1:3])
+if serial["history"] != pool["history"]:
+    raise SystemExit("--workers 2 changed the search history")
+lookups = [r["runtime"]["op_cache_hits"] + r["runtime"]["op_cache_misses"]
+           for r in (serial, pool)]
+if lookups[0] != lookups[1]:
+    raise SystemExit(f"op lookup totals differ: serial {lookups[0]}, --workers 2 {lookups[1]}")
+for name, result in (("serial", serial), ("--workers 2", pool)):
+    for stage in ("mapper_seconds", "eval_seconds"):
+        if not result["runtime"][stage] > 0:
+            raise SystemExit(f"{name} run reports {stage} = {result['runtime'][stage]}")
+if serial["runtime"]["engine"] != pool["runtime"]["engine"]:
+    raise SystemExit(f"engine echo differs: {serial['runtime']['engine']!r} "
+                     f"vs {pool['runtime']['engine']!r}")
+print("serial == --workers 2: history, op lookups", lookups[0],
+      "and engine", repr(serial["runtime"]["engine"]))
+PY
 }
 
 # --------------------------------------------------------------------------

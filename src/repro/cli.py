@@ -260,10 +260,10 @@ Fault points: ``worker-crash`` (SIGKILL a pool worker mid-batch),
 ``remote-drop`` / ``remote-timeout`` / ``remote-slow`` (client-side request
 faults), ``service-error`` / ``service-drop`` / ``service-delay``
 (service-side faults; also available on ``repro serve --inject-faults`` to
-run a deliberately flaky endpoint), and ``torn-write`` (truncated cache
-append / partial checkpoint temp file).  The injected-fault history must
-equal the clean history bit-for-bit — CI's ``chaos`` smoke asserts exactly
-that, plus a kill-and-``--resume`` round-trip.
+run a deliberately flaky endpoint), and ``torn-write`` (truncated
+trial-cache append / partial checkpoint temp file).  The injected-fault
+history must equal the clean history bit-for-bit — CI's ``chaos`` smoke
+asserts exactly that, plus a kill-and-``--resume`` round-trip.
 """
 
 from __future__ import annotations
@@ -726,18 +726,19 @@ def _cmd_profile(args) -> int:
     )
     rows = []
     for record in report.records:
-        stages = record.stage_seconds
-        disk_hits = record.op_cache_disk_hits
+        stages = record.stages
+        stats = record.runtime
+        disk_hits = stats.op_cache_disk_hits
         rows.append([
             record.mode,
             f"{record.trials_per_second:.1f}",
             f"{report.speedup(record.mode):.2f}x",
-            f"{stages.get('mapper', 0.0) * 1e3:.0f}",
-            f"{stages.get('vector', 0.0) * 1e3:.0f}",
-            f"{stages.get('fusion', 0.0) * 1e3:.0f}",
-            f"{stages.get('other', 0.0) * 1e3:.0f}",
-            f"{record.op_cache_hit_rate:.2f}" if record.op_cache_hits else "-",
-            f"{record.region_cache_hit_rate:.2f}" if record.region_cache_hits else "-",
+            f"{stages['mapper'] * 1e3:.0f}",
+            f"{stages['vector'] * 1e3:.0f}",
+            f"{stages['fusion'] * 1e3:.0f}",
+            f"{stages['other'] * 1e3:.0f}",
+            f"{stats.op_cache_hit_rate:.2f}" if stats.op_cache_hits else "-",
+            f"{stats.region_cache_hit_rate:.2f}" if stats.region_cache_hits else "-",
             str(disk_hits) if disk_hits else "-",
         ])
     print(format_table(

@@ -17,6 +17,7 @@ batch size the history is identical no matter how many workers evaluate it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -53,17 +54,24 @@ class RuntimeStats:
     the fields stay only because the ``perfbench`` harness reads them.
     The ``*_seconds`` fields break evaluation wall-clock time down by
     pipeline stage (mapper / VPU cost model / fusion ILP / whole-trial
-    evaluation).  Under a serial executor they are collected from this
-    process's evaluator and caches; a
-    :class:`~repro.runtime.executor.ParallelExecutor` aggregates the same
-    counters inside its workers and reports them through
-    ``runtime_counters()``, so parallel runs no longer show zeros here.
+    evaluation).
+
+    Everything but the loop's own counts (trials, trial-cache hits,
+    batches, duplicates, resumes, elapsed time, spans, faults, corrupt
+    records, exchange counts) is one delta of the process-wide counter
+    store (:func:`repro.runtime.telemetry.get_counters`) over the run:
+    the stage seconds, cache lookups, remote counters and
+    ``worker_restarts``.  Process-pool workers ship their own deltas home
+    with every task and the parent merges them, so serial and process-pool
+    runs of one seed report the same lookup totals.  A remote service
+    evaluates in its own process and reports through its own ``/metrics``.
 
     The ``remote_*`` counters and per-endpoint ``endpoint_stats`` map are
     filled in when the run used an
     :class:`~repro.runtime.remote.AsyncRemoteExecutor` (requests dispatched,
-    retries, hedged re-dispatches, failures, and per-endpoint latency sums);
-    ``exchange_published``/``exchange_adopted`` count cross-shard scoreboard
+    retries, hedged re-dispatches, failures, and per-endpoint latency sums;
+    an endpoint's map holds the counters that moved plus its
+    ``blacklisted`` flag); ``exchange_published``/``exchange_adopted`` count cross-shard scoreboard
     publications and adopted external bests when a sweep ran with
     ``--exchange``.  ``spans_recorded`` counts telemetry spans captured by
     the run (zero unless tracing was enabled, e.g. via ``--trace``); tracing
@@ -288,7 +296,7 @@ class FASTSearch:
             TRIAL_FINISHED,
         )
 
-        from repro.runtime.telemetry import get_tracer
+        from repro.runtime.telemetry import get_counters, get_tracer
 
         batch_size = max(1, int(batch_size))
         executor = self.executor or SerialExecutor()
@@ -298,21 +306,12 @@ class FASTSearch:
         started_unix = time.time()
         started_at = time.monotonic()
         stats = RuntimeStats()
-        stage_start = dict(getattr(self.evaluator, "stage_seconds", None) or {})
-        # Op-cache counters only move in this process, i.e. under a serial
-        # executor; with a parallel executor the cache lives in the workers,
-        # so don't force-load a possibly large persistent store here.
-        from repro.runtime.executor import cache_counter_snapshot
-
-        op_cache = self._op_cache() if isinstance(executor, SerialExecutor) else None
-        region_cache = (
-            self._region_cache() if isinstance(executor, SerialExecutor) else None
-        )
-        cache_start = cache_counter_snapshot(op_cache, region_cache)
-        # Remote executors expose lifetime counters; snapshot them so a run
-        # on a reused executor (e.g. across sweep shards) reports deltas.
-        collect_remote = getattr(executor, "runtime_counters", None)
-        remote_start = collect_remote() if callable(collect_remote) else None
+        # Engine echo from this process's evaluator; pool workers' task
+        # deltas overwrite it with what they resolved themselves, so a
+        # mismatched pool can't hide behind the parent's config.
+        counters = get_counters()
+        counters.set("engine", self.evaluator.engine)
+        counts_start = counters.snapshot()
         # Fault injection (chaos runs): snapshot the plan's fired total so
         # the stats report only faults injected during *this* run.
         from repro.runtime.faults import get_fault_plan
@@ -323,35 +322,16 @@ class FASTSearch:
         def _live_cache_rates() -> Dict[str, float]:
             """Cumulative op/region cache hit rates so far this run.
 
-            Serial runs read the in-process caches; parallel/remote runs fall
-            back to the executor's ``runtime_counters()`` worker totals.
             Keys are omitted while a cache has seen no lookups yet, so
             progress lines only show rates that mean something.
             """
+            counts = counters.delta(counts_start)
             rates: Dict[str, float] = {}
-            if op_cache is not None:
-                hits, misses = op_cache.snapshot_counters()
-                hits -= cache_start.get("op_cache_hits", 0)
-                misses -= cache_start.get("op_cache_misses", 0)
-                if hits + misses:
-                    rates["op_cache_hit_rate"] = hits / (hits + misses)
-            if region_cache is not None:
-                hits, misses = region_cache.snapshot_counters()
-                hits -= cache_start.get("region_cache_hits", 0)
-                misses -= cache_start.get("region_cache_misses", 0)
-                if hits + misses:
-                    rates["region_cache_hit_rate"] = hits / (hits + misses)
-            if not rates and remote_start is not None:
-                now = collect_remote()
-                for prefix in ("op_cache", "region_cache"):
-                    hits = now.get(f"{prefix}_hits", 0) - remote_start.get(
-                        f"{prefix}_hits", 0
-                    )
-                    misses = now.get(f"{prefix}_misses", 0) - remote_start.get(
-                        f"{prefix}_misses", 0
-                    )
-                    if hits + misses:
-                        rates[f"{prefix}_hit_rate"] = hits / (hits + misses)
+            for prefix in ("op_cache", "region_cache"):
+                hits = counts.get(f"{prefix}_hits", 0)
+                lookups = hits + counts.get(f"{prefix}_misses", 0)
+                if lookups:
+                    rates[f"{prefix}_hit_rate"] = hits / lookups
             return rates
 
         history: List[TrialMetrics] = []
@@ -539,37 +519,9 @@ class FASTSearch:
             )
             bus.emit(CHECKPOINT_SAVED, num_completed=completed, path=str(saved))
 
+        stats = dataclasses.replace(stats, **counters.delta(counts_start))
         stats.elapsed_seconds = time.monotonic() - started_at
         stats.duplicates_avoided = batched.num_duplicates_avoided
-        stage_now = getattr(self.evaluator, "stage_seconds", None) or {}
-        stats.mapper_seconds = stage_now.get("mapper", 0.0) - stage_start.get("mapper", 0.0)
-        stats.vector_seconds = stage_now.get("vector", 0.0) - stage_start.get("vector", 0.0)
-        stats.fusion_seconds = stage_now.get("fusion", 0.0) - stage_start.get("fusion", 0.0)
-        stats.eval_seconds = stage_now.get("evaluate", 0.0) - stage_start.get("evaluate", 0.0)
-        # Engine echo: serial runs resolve it from this process's evaluator;
-        # a parallel/remote executor's worker-reported echo overwrites it
-        # below, so mismatched pools can't hide behind the parent's config.
-        options = getattr(self.evaluator, "simulation_options", None)
-        if options is not None:
-            try:
-                from repro.simulator.enginespec import EngineSpec
-
-                stats.engine = str(EngineSpec.from_simulation_options(options))
-            except Exception:
-                pass  # informational only
-        for key, value in cache_counter_snapshot(op_cache, region_cache).items():
-            setattr(stats, key, value - cache_start.get(key, 0))
-        if remote_start is not None:
-            remote_now = collect_remote()
-            for key, value in remote_now.items():
-                if key == "endpoint_stats":
-                    stats.endpoint_stats = _endpoint_stats_delta(
-                        value, remote_start.get(key) or {}
-                    )
-                elif key == "engine":
-                    stats.engine = value  # config echo from the workers
-                elif hasattr(stats, key):
-                    setattr(stats, key, value - remote_start.get(key, 0))
         if self.exchange is not None:
             stats.exchange_published = self.exchange.published
             stats.exchange_adopted = self.exchange.adopted
@@ -579,8 +531,12 @@ class FASTSearch:
         # crash-survival receipt of a resume-after-kill run.
         if self.cache is not None:
             stats.corrupt_records += self.cache.stats.corrupt_records
-        if op_cache is not None:
-            stats.corrupt_records += op_cache.stats.corrupt_records
+        options = self.evaluator.simulation_options
+        if isinstance(executor, SerialExecutor) and options.op_cache_enabled:
+            from repro.runtime.opcache import get_op_cache
+
+            op_store = get_op_cache(options.op_cache_path)
+            stats.corrupt_records += op_store.stats.corrupt_records
         # Root span for the whole run, synthesized from the measured elapsed
         # time (no-op when tracing is off).  Recorded last so every child
         # span is already in the buffer when the trace file is written.
@@ -618,40 +574,8 @@ class FASTSearch:
             runtime=stats,
         )
 
-    # ------------------------------------------------------------------
-    def _op_cache(self):
-        """This process's shared op-cost cache, when the evaluator uses one."""
-        options = getattr(self.evaluator, "simulation_options", None)
-        if options is None or not getattr(options, "op_cache_enabled", False):
-            return None
-        from repro.runtime.opcache import get_op_cache
-
-        return get_op_cache(getattr(options, "op_cache_path", None))
-
-    def _region_cache(self):
-        """This process's region-cost cache, when the evaluator uses one."""
-        options = getattr(self.evaluator, "simulation_options", None)
-        if options is None or not getattr(options, "region_cache_enabled", False):
-            return None
-        from repro.runtime.opcache import get_region_cache
-
-        return get_region_cache()
-
 
 def _mean(values) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
 
-
-def _endpoint_stats_delta(
-    now: Dict[str, Dict[str, float]], before: Dict[str, Dict[str, float]]
-) -> Dict[str, Dict[str, float]]:
-    """Per-endpoint counter deltas (state flags keep their current value)."""
-    delta: Dict[str, Dict[str, float]] = {}
-    for url, counters in now.items():
-        prior = before.get(url) or {}
-        delta[url] = {
-            key: value if key == "blacklisted" else value - prior.get(key, 0)
-            for key, value in counters.items()
-        }
-    return delta

@@ -19,18 +19,20 @@ from repro.hardware.area_power import AreaPowerModel
 from repro.hardware.datapath import DatapathConfig
 from repro.hardware.search_space import DatapathSearchSpace, ParameterValues
 from repro.simulator.engine import SimulationOptions, Simulator
+from repro.simulator.enginespec import EngineSpec
 from repro.simulator.result import SimulationResult
 from repro.workloads.graph import Graph
 from repro.workloads.registry import build_workload
 
 __all__ = ["TrialMetrics", "TrialEvaluator", "clear_graph_cache"]
 
-# The telemetry tracer is resolved lazily: this module is imported during
+# Telemetry is resolved lazily: this module is imported during
 # ``repro.runtime``'s own package init (via runtime.cache), so a module-level
-# ``from repro.runtime.telemetry import ...`` would be circular.  The accessor
-# is cached after the first call, leaving one function call + attribute check
+# ``from repro.runtime.telemetry import ...`` would be circular.  The accessors
+# are cached after the first call, leaving one function call + attribute check
 # on the hot path when tracing is disabled.
 _get_tracer = None
+_COUNTERS = None
 
 
 def _tracer():
@@ -40,6 +42,15 @@ def _tracer():
 
         _get_tracer = get_tracer
     return _get_tracer()
+
+
+def _counters():
+    global _COUNTERS
+    if _COUNTERS is None:
+        from repro.runtime.telemetry import get_counters
+
+        _COUNTERS = get_counters()
+    return _COUNTERS
 
 # Workload graphs are immutable and expensive-ish to build, so they are cached
 # per (workload, batch) across all evaluators in the process.  Graphs are
@@ -95,12 +106,12 @@ class TrialMetrics:
 class TrialEvaluator:
     """Evaluates candidate datapaths for a search problem.
 
-    ``stage_seconds`` accumulates wall-clock seconds per pipeline stage
-    (``mapper`` / ``vector`` / ``fusion`` from the simulator, plus the
-    all-inclusive ``evaluate``) across every trial this instance evaluates in
-    this process; the search loop and ``repro profile`` report deltas of it.
-    Parallel executors evaluate on worker-process copies, so the parent's
-    counters stay at zero there.
+    Each :meth:`evaluate_config` call adds its all-inclusive wall-clock
+    seconds to the process-wide counter store as ``eval_seconds``, beside
+    the simulator's ``mapper_seconds`` / ``vector_seconds`` /
+    ``fusion_seconds``; the search loop and ``repro profile`` report a
+    delta of the store.  Worker processes ship their deltas home with every
+    task, so parallel runs report the same stages.
     """
 
     def __init__(
@@ -114,12 +125,12 @@ class TrialEvaluator:
         self.area_power_model = area_power_model or AreaPowerModel()
         self.simulation_options = simulation_options or SimulationOptions(fusion_solver="greedy")
         self.num_cores = num_cores
-        self.stage_seconds: Dict[str, float] = {
-            "mapper": 0.0,
-            "vector": 0.0,
-            "fusion": 0.0,
-            "evaluate": 0.0,
-        }
+
+    @property
+    def engine(self) -> str:
+        """Canonical :class:`~repro.simulator.enginespec.EngineSpec` string
+        of the simulation options (the ``RuntimeStats.engine`` echo)."""
+        return str(EngineSpec.from_simulation_options(self.simulation_options))
 
     # ------------------------------------------------------------------
     def warm_caches(self, batch_sizes: Optional[tuple] = None) -> None:
@@ -178,7 +189,7 @@ class TrialEvaluator:
         try:
             return self._evaluate_config(config)
         finally:
-            self.stage_seconds["evaluate"] += time.perf_counter() - started
+            _counters().add("eval_seconds", time.perf_counter() - started)
 
     def _evaluate_config(self, config: DatapathConfig) -> TrialMetrics:
         with _tracer().span("area_power", category="simulate"):
@@ -206,24 +217,20 @@ class TrialEvaluator:
         with _tracer().span("setup", category="simulate"):
             simulator = Simulator(config, self.simulation_options)
         per_workload_scores: Dict[str, float] = {}
-        try:
-            for workload in self.problem.workloads:
-                with _tracer().span("simulate", category="simulate", workload=workload):
-                    graph = _cached_graph(workload, config.native_batch_size)
-                    result = simulator.simulate(graph)
-                if result.schedule_failed:
-                    metrics.feasible = False
-                    metrics.failure_reason = f"schedule failure on {workload}"
-                    return metrics
-                metrics.per_workload_qps[workload] = result.qps
-                metrics.per_workload_latency_ms[workload] = result.latency_ms
-                metrics.per_workload_utilization[workload] = result.compute_utilization
-                per_workload_scores[workload] = self.problem.workload_score(
-                    workload, result.qps, tdp, area
-                )
-        finally:
-            for stage, seconds in simulator.stage_seconds.items():
-                self.stage_seconds[stage] += seconds
+        for workload in self.problem.workloads:
+            with _tracer().span("simulate", category="simulate", workload=workload):
+                graph = _cached_graph(workload, config.native_batch_size)
+                result = simulator.simulate(graph)
+            if result.schedule_failed:
+                metrics.feasible = False
+                metrics.failure_reason = f"schedule failure on {workload}"
+                return metrics
+            metrics.per_workload_qps[workload] = result.qps
+            metrics.per_workload_latency_ms[workload] = result.latency_ms
+            metrics.per_workload_utilization[workload] = result.compute_utilization
+            per_workload_scores[workload] = self.problem.workload_score(
+                workload, result.qps, tdp, area
+            )
 
         metrics.aggregate_score = self.problem.aggregate(per_workload_scores)
         metrics.objective_value = self.problem.minimized_value(metrics.aggregate_score)

@@ -27,10 +27,13 @@ engine, layered as:
 * :mod:`repro.runtime.sharding` — sharded sweep orchestration: split one
   search into N shards (seed stream or design-space partition) and merge
   their Pareto fronts, histories, and stats into one deduplicated result,
-* :mod:`repro.runtime.telemetry` — dependency-free span tracer + metrics
-  registry: end-to-end spans across search → executor → worker → remote
-  service, Chrome-trace / JSONL export (``repro search --trace``,
-  ``repro trace``), and Prometheus text exposition (``GET /metrics``),
+* :mod:`repro.runtime.telemetry` — dependency-free span tracer, metrics
+  registry and counter store: end-to-end spans across search → executor →
+  worker → remote service, Chrome-trace / JSONL export (``repro search
+  --trace``, ``repro trace``), Prometheus text exposition (``GET
+  /metrics``), and the one process-wide store of run counts and stage
+  seconds whose delta over a search is its ``RuntimeStats`` — pool
+  workers ship their task deltas home and the parent merges them,
 * :mod:`repro.runtime.faults` — seeded deterministic fault injection
   (``repro search --inject-faults``): worker crashes, remote drops /
   timeouts / slowdowns, service errors, and torn writes, exercising the
@@ -81,7 +84,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.remote import (
     AsyncRemoteExecutor,
-    EndpointStats,
+    EndpointState,
     RemoteExecutionError,
 )
 from repro.runtime.opcache import (
@@ -143,7 +146,7 @@ __all__ = [
     "CheckpointState",
     "CompactionStats",
     "EXECUTOR_KINDS",
-    "EndpointStats",
+    "EndpointState",
     "EvaluationService",
     "FaultPlan",
     "FaultPoint",

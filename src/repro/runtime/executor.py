@@ -16,7 +16,13 @@ executor detects, rebuilds — re-warming worker caches through the same
 initializer — and re-dispatches the in-flight batch on.  Evaluation is
 deterministic, so the re-dispatched batch returns the same metrics and the
 search history stays bit-for-bit equal to a fault-free run; the recovery is
-visible only in ``runtime_counters()`` (``worker_restarts``).
+visible only in ``RuntimeStats.worker_restarts``.
+
+Every worker task returns, beside its metrics, the delta of the worker's
+counter store (:func:`repro.runtime.telemetry.get_counters`) over the
+task — stage seconds, cache lookups, the engine echo — and the parent
+merges it into its own store, so a search reports the same statistics
+whichever executor evaluated it.
 """
 
 from __future__ import annotations
@@ -31,9 +37,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core.trial import TrialEvaluator, TrialMetrics
 from repro.hardware.search_space import DatapathSearchSpace, ParameterValues
 from repro.runtime.faults import crash_process, get_fault_plan
-from repro.simulator.enginespec import EngineSpec
 from repro.runtime.telemetry import (
     apply_telemetry_config,
+    get_counters,
     get_metrics,
     get_tracer,
     telemetry_config,
@@ -63,30 +69,9 @@ class WorkerCrashError(RuntimeError):
 # cost caches, including loading the persistent op store from disk when the
 # evaluator is configured with one.  Per-task payloads are just the
 # parameter dicts; graphs are never pickled.
-#
-# Each task returns its metrics together with a small dict of counter deltas
-# (op/region-cache hits and misses, per-stage seconds) measured around the
-# evaluation, so the parent can aggregate worker-side runtime statistics
-# that previously stayed invisible (parallel runs used to report
-# ``op_cache_hits: 0`` no matter how warm the workers were).
 # ---------------------------------------------------------------------------
 _WORKER_EVALUATOR: Optional[TrialEvaluator] = None
 _WORKER_SPACE: Optional[DatapathSearchSpace] = None
-
-
-def _worker_caches(evaluator: TrialEvaluator):
-    """(op cache, region cache) this worker's evaluator uses, or Nones."""
-    options = getattr(evaluator, "simulation_options", None)
-    op_cache = region_cache = None
-    if options is not None and getattr(options, "op_cache_enabled", False):
-        from repro.runtime.opcache import get_op_cache
-
-        op_cache = get_op_cache(getattr(options, "op_cache_path", None))
-    if options is not None and getattr(options, "region_cache_enabled", False):
-        from repro.runtime.opcache import get_region_cache
-
-        region_cache = get_region_cache()
-    return op_cache, region_cache
 
 
 def _init_worker(
@@ -103,6 +88,11 @@ def _init_worker(
     # a task delta, and fresh construction gives each worker its own span-id
     # salt, so span ids stay unique across the pool.
     apply_telemetry_config(telemetry)
+    # Named engine echo, carried home by every task delta: proof the worker
+    # inherited the parent's EngineSpec through the initializer (a pool
+    # silently falling back to the default engine would show up in
+    # ``RuntimeStats.engine`` and ``repro profile``).
+    get_counters().set("engine", evaluator.engine)
     if warm_start:
         warm = getattr(evaluator, "warm_caches", None)
         if callable(warm):
@@ -110,20 +100,6 @@ def _init_worker(
                 warm()
             except Exception:
                 pass  # warm-up is best effort; evaluation must still start
-
-
-def cache_counter_snapshot(op_cache, region_cache) -> dict:
-    """Tier-level cache counters, keyed like ``RuntimeStats`` fields."""
-    snap: dict = {}
-    if op_cache is not None:
-        stats = op_cache.stats
-        snap["op_cache_hits"] = stats.hits
-        snap["op_cache_misses"] = stats.misses
-        snap["op_cache_disk_hits"] = stats.disk_hits
-    if region_cache is not None:
-        snap["region_cache_hits"] = region_cache.stats.hits
-        snap["region_cache_misses"] = region_cache.stats.misses
-    return snap
 
 
 def _evaluate_in_worker(task):
@@ -135,38 +111,14 @@ def _evaluate_in_worker(task):
         crash_process()
     if _WORKER_EVALUATOR is None or _WORKER_SPACE is None:
         raise RuntimeError("worker process was not initialized with an evaluator")
-    evaluator = _WORKER_EVALUATOR
-    op_cache, region_cache = _worker_caches(evaluator)
-    stage_before = dict(getattr(evaluator, "stage_seconds", None) or {})
-    cache_before = cache_counter_snapshot(op_cache, region_cache)
-    metrics = evaluator.evaluate_params(params, _WORKER_SPACE)
-    stage_after = getattr(evaluator, "stage_seconds", None) or {}
-    cache_after = cache_counter_snapshot(op_cache, region_cache)
-    delta = {
-        key: cache_after[key] - cache_before.get(key, 0) for key in cache_after
-    }
-    delta.update({
-        "mapper_seconds": stage_after.get("mapper", 0.0) - stage_before.get("mapper", 0.0),
-        "vector_seconds": stage_after.get("vector", 0.0) - stage_before.get("vector", 0.0),
-        "fusion_seconds": stage_after.get("fusion", 0.0) - stage_before.get("fusion", 0.0),
-        "eval_seconds": stage_after.get("evaluate", 0.0) - stage_before.get("evaluate", 0.0),
-    })
-    # Named engine echo: proof the worker inherited the parent's EngineSpec
-    # through the initializer (a forked pool silently falling back to the
-    # default engine would show up here and in ``repro profile``).
-    options = getattr(evaluator, "simulation_options", None)
-    if options is not None:
-        try:
-            delta["engine"] = str(EngineSpec.from_simulation_options(options))
-        except Exception:
-            pass  # echo is informational; evaluation results matter more
+    counters = get_counters()
+    before = counters.snapshot()
+    metrics = _WORKER_EVALUATOR.evaluate_params(params, _WORKER_SPACE)
     tracer = get_tracer()
-    if tracer.enabled:
-        # Ship this task's spans home with the delta; draining means each
-        # span leaves the worker exactly once even when the process is
-        # reused across many tasks.
-        delta["spans"] = [record.to_dict() for record in tracer.drain()]
-    return metrics, delta
+    # Draining ships each span home exactly once even when the process is
+    # reused across many tasks.
+    spans = [record.to_dict() for record in tracer.drain()] if tracer.enabled else None
+    return metrics, counters.delta(before), spans
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +175,9 @@ class ParallelExecutor(TrialExecutor):
     disk when the evaluator is configured with one (``--op-cache PATH``),
     which is how a pool shares one op store across workers, searches, and
     sweep shards.  Each worker's region cache stays private to it.
-    Worker-side cache hits and per-stage timings flow back with every result
-    and surface through :meth:`runtime_counters`.
+    Every task ships the delta of the worker's counter store home and the
+    parent merges it into its own, so worker-side cache lookups, stage
+    seconds and the engine echo reach ``RuntimeStats`` as in a serial run.
 
     The pool is supervised: worker death mid-batch (detected as
     ``BrokenProcessPool``) tears the broken pool down, spawns a fresh one —
@@ -232,8 +185,8 @@ class ParallelExecutor(TrialExecutor):
     and re-dispatches the whole in-flight batch, up to
     ``max_worker_restarts`` times per batch.  Evaluation is deterministic,
     so re-dispatch returns identical metrics and the history matches a
-    fault-free run bit-for-bit; ``worker_restarts`` in
-    :meth:`runtime_counters` reports how many times it happened.
+    fault-free run bit-for-bit; ``worker_restarts`` (here and in
+    ``RuntimeStats``) reports how many times it happened.
 
     Args:
         num_workers: Worker process count (defaults to the CPU count).
@@ -266,7 +219,6 @@ class ParallelExecutor(TrialExecutor):
         # objects, whose addresses can be reused by new allocations).
         self._pool_args: Optional[tuple] = None
         self._pool_telemetry: Optional[dict] = None
-        self._worker_totals: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     def _ensure_pool(
@@ -318,6 +270,7 @@ class ParallelExecutor(TrialExecutor):
             except BrokenProcessPool as error:
                 self.close()  # the broken pool's workers are already gone
                 self.worker_restarts += 1
+                get_counters().add("worker_restarts")
                 restarts += 1
                 get_metrics().counter(
                     "repro_worker_restarts_total",
@@ -336,33 +289,13 @@ class ParallelExecutor(TrialExecutor):
                         f"batch of {len(batch)} kept killing workers through "
                         f"{restarts} pool restarts"
                     ) from error
-        totals = self._worker_totals
+        counters = get_counters()
         tracer = get_tracer()
-        for _, delta in outcomes:
-            spans = delta.pop("spans", None)
+        for _, delta, spans in outcomes:
+            counters.merge(delta)
             if spans and tracer.enabled:
                 tracer.ingest(spans)
-            engine = delta.pop("engine", None)
-            if engine is not None:
-                totals["engine"] = engine  # config echo, not a counter
-            for key, value in delta.items():
-                totals[key] = totals.get(key, 0) + value
-        return [metrics for metrics, _ in outcomes]
-
-    def runtime_counters(self) -> Dict[str, float]:
-        """Lifetime worker-side counters, keyed like ``RuntimeStats`` fields.
-
-        The search loop snapshots this before and after a run and reports
-        the delta, so op/region-cache hit counters and per-stage timings no
-        longer read zero just because evaluation happened in worker
-        processes.  ``worker_restarts`` counts supervised pool rebuilds
-        after worker deaths.  One entry is non-numeric: ``engine`` echoes the
-        worker-resolved :class:`~repro.simulator.enginespec.EngineSpec`
-        string, proof the pool inherited the parent's engine configuration.
-        """
-        counters: Dict[str, float] = dict(self._worker_totals)
-        counters["worker_restarts"] = self.worker_restarts
-        return counters
+        return [metrics for metrics, _, _ in outcomes]
 
     def close(self) -> None:
         if self._pool is not None:

@@ -25,9 +25,11 @@ counter the runtime consults at its failure sites:
                         response.
 ``service-delay``       The evaluation service sleeps ``delay`` seconds
                         before handling the request.
-``torn-write``          A JSONL cache / op-store append writes a truncated
-                        record, and a checkpoint save leaves a partial
-                        ``.tmp`` file behind, as a crash mid-write would.
+``torn-write``          A trial-cache append (``TrialCache.put``) writes a
+                        truncated record, and a checkpoint save leaves a
+                        partial ``.tmp`` file behind, as a crash mid-write
+                        would.  Op-store appends (``OpCostCache.put``) do
+                        not consult the plan.
 ======================  ====================================================
 
 Plans are built from a compact spec string (``--inject-faults``)::

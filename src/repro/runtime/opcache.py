@@ -47,6 +47,7 @@ from typing import Dict, Optional, Tuple, Union
 from repro.mapping.costmodel import OpCost
 from repro.mapping.dataflow import Dataflow
 from repro.mapping.tiling import Tiling
+from repro.runtime.telemetry import get_counters
 from repro.workloads.ops import OpType
 
 __all__ = [
@@ -302,10 +303,6 @@ class OpCostCache:
             {self.digest(k) for k in self._memory} | set(self._disk_index)
         )
 
-    def snapshot_counters(self) -> Tuple[int, int]:
-        """(hits, misses) counters, for delta accounting across a run."""
-        return self.stats.hits, self.stats.misses
-
 
 # ---------------------------------------------------------------------------
 # Region-level result cache.  One level above the op cache: the simulator
@@ -351,10 +348,6 @@ class RegionCostCache:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def snapshot_counters(self) -> Tuple[int, int]:
-        """(hits, misses) counters, for delta accounting across a run."""
-        return self.stats.hits, self.stats.misses
-
 
 # ---------------------------------------------------------------------------
 # Process-local registries.  Op caches are keyed by store path (None =
@@ -368,9 +361,20 @@ class RegionCostCache:
 # the parent already reported.
 # ---------------------------------------------------------------------------
 _CACHES: Dict[Optional[str], OpCostCache] = {}
-_CACHES_PID: Optional[int] = None
 _REGION_CACHES: Dict[None, RegionCostCache] = {}
-_REGION_CACHES_PID: Optional[int] = None
+_STATS_PID: Optional[int] = None
+
+
+def _zero_inherited_stats() -> None:
+    """Restart the counters of caches a fork inherited from its parent."""
+    global _STATS_PID
+    pid = os.getpid()
+    if _STATS_PID != pid:
+        for cache in _CACHES.values():
+            cache.stats = OpCacheStats()
+        for cache in _REGION_CACHES.values():
+            cache.stats = RegionCacheStats()
+        _STATS_PID = pid
 
 
 def get_op_cache(path: Optional[Union[str, Path]] = None) -> OpCostCache:
@@ -381,12 +385,7 @@ def get_op_cache(path: Optional[Union[str, Path]] = None) -> OpCostCache:
     trials, shards, and sequential searches.  After a fork the inherited
     entries are kept (warm workers) but the counters restart at zero.
     """
-    global _CACHES_PID
-    pid = os.getpid()
-    if _CACHES_PID != pid:
-        for cache in _CACHES.values():
-            cache.stats = OpCacheStats()
-        _CACHES_PID = pid
+    _zero_inherited_stats()
     key = str(Path(path)) if path is not None else None
     cache = _CACHES.get(key)
     if cache is None:
@@ -403,12 +402,7 @@ def get_region_cache() -> RegionCostCache:
     After a fork the inherited entries are kept but the counters restart at
     zero, mirroring :func:`get_op_cache`.
     """
-    global _REGION_CACHES_PID
-    pid = os.getpid()
-    if _REGION_CACHES_PID != pid:
-        for cache in _REGION_CACHES.values():
-            cache.stats = RegionCacheStats()
-        _REGION_CACHES_PID = pid
+    _zero_inherited_stats()
     cache = _REGION_CACHES.get(None)
     if cache is None:
         cache = _REGION_CACHES[None] = RegionCostCache()
@@ -417,14 +411,29 @@ def get_region_cache() -> RegionCostCache:
 
 def reset_region_caches() -> None:
     """Drop the process-local region cache (for tests and benchmarks)."""
-    global _REGION_CACHES_PID
     _REGION_CACHES.clear()
-    _REGION_CACHES_PID = None
 
 
 def reset_op_caches() -> None:
     """Drop every process-local op *and* region cache (tests, benchmarks)."""
-    global _CACHES_PID
     _CACHES.clear()
-    _CACHES_PID = None
     reset_region_caches()
+
+
+def _cache_counts() -> Dict[str, int]:
+    """Lookup counters of every cache in this process, keyed like ``RuntimeStats``."""
+    _zero_inherited_stats()
+    # list() copies each registry in one step, safe against a service
+    # thread registering a cache mid-snapshot.
+    op_stats = [cache.stats for cache in list(_CACHES.values())]
+    region_stats = [cache.stats for cache in list(_REGION_CACHES.values())]
+    return {
+        "op_cache_hits": sum(stats.hits for stats in op_stats),
+        "op_cache_misses": sum(stats.misses for stats in op_stats),
+        "op_cache_disk_hits": sum(stats.disk_hits for stats in op_stats),
+        "region_cache_hits": sum(stats.hits for stats in region_stats),
+        "region_cache_misses": sum(stats.misses for stats in region_stats),
+    }
+
+
+get_counters().sources.append(_cache_counts)

@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence
 from repro.core.fast import FASTSearch, RuntimeStats
 from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.core.trial import TrialEvaluator
-from repro.reporting.serialization import trial_metrics_to_dict
+from repro.reporting.serialization import runtime_stats_to_dict, trial_metrics_to_dict
 from repro.runtime.opcache import reset_op_caches
 from repro.runtime.telemetry import SpanRecord
 from repro.simulator.engine import SimulationOptions
@@ -76,40 +76,39 @@ PROFILE_MODES = (
 
 @dataclass
 class ProfileRecord:
-    """Measured outcome of one profiled mode."""
+    """Measured outcome of one profiled mode: its search's ``RuntimeStats``."""
 
     mode: str
     trials: int
-    elapsed_seconds: float
-    trials_per_second: float
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-    op_cache_hits: int = 0
-    op_cache_misses: int = 0
-    op_cache_hit_rate: float = 0.0
-    op_cache_disk_hits: int = 0
-    region_cache_hits: int = 0
-    region_cache_misses: int = 0
-    region_cache_hit_rate: float = 0.0
-    workers: int = 1
-    engine: str = ""
+    workers: int
+    runtime: RuntimeStats
+
+    @property
+    def trials_per_second(self) -> float:
+        return self.runtime.trials_per_second
+
+    @property
+    def stages(self) -> Dict[str, float]:
+        """Seconds per stage; ``other`` is evaluation outside the three."""
+        stats = self.runtime
+        timed = stats.mapper_seconds + stats.vector_seconds + stats.fusion_seconds
+        return {
+            "mapper": stats.mapper_seconds,
+            "vector": stats.vector_seconds,
+            "fusion": stats.fusion_seconds,
+            "evaluate": stats.eval_seconds,
+            "other": max(0.0, stats.eval_seconds - timed),
+        }
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-compatible form of this record."""
         return {
             "mode": self.mode,
             "trials": self.trials,
-            "elapsed_seconds": self.elapsed_seconds,
-            "trials_per_second": self.trials_per_second,
-            "stage_seconds": dict(self.stage_seconds),
-            "op_cache_hits": self.op_cache_hits,
-            "op_cache_misses": self.op_cache_misses,
-            "op_cache_hit_rate": self.op_cache_hit_rate,
-            "op_cache_disk_hits": self.op_cache_disk_hits,
-            "region_cache_hits": self.region_cache_hits,
-            "region_cache_misses": self.region_cache_misses,
-            "region_cache_hit_rate": self.region_cache_hit_rate,
             "workers": self.workers,
-            "engine": self.engine,
+            "trials_per_second": self.trials_per_second,
+            "stages": self.stages,
+            "runtime": runtime_stats_to_dict(self.runtime),
         }
 
 
@@ -315,8 +314,6 @@ def profile_search(
     reset_op_caches()
     run_once(modes[0], *mode_fixture(modes[0]))
 
-    from repro.simulator.enginespec import EngineSpec
-
     reference_history = None
     for mode in modes:
         reset_op_caches()
@@ -332,35 +329,11 @@ def profile_search(
         finally:
             if executor is not None:
                 executor.close()
-        stats: RuntimeStats = result.runtime
         record = ProfileRecord(
             mode=mode.name,
             trials=result.num_trials,
-            elapsed_seconds=stats.elapsed_seconds,
-            trials_per_second=stats.trials_per_second,
-            stage_seconds={
-                "mapper": stats.mapper_seconds,
-                "vector": stats.vector_seconds,
-                "fusion": stats.fusion_seconds,
-                "evaluate": stats.eval_seconds,
-                "other": max(
-                    0.0,
-                    stats.eval_seconds
-                    - stats.mapper_seconds
-                    - stats.vector_seconds
-                    - stats.fusion_seconds,
-                ),
-            },
-            op_cache_hits=stats.op_cache_hits,
-            op_cache_misses=stats.op_cache_misses,
-            op_cache_hit_rate=stats.op_cache_hit_rate,
-            op_cache_disk_hits=stats.op_cache_disk_hits,
-            region_cache_hits=stats.region_cache_hits,
-            region_cache_misses=stats.region_cache_misses,
-            region_cache_hit_rate=stats.region_cache_hit_rate,
             workers=mode.workers,
-            engine=stats.engine
-            or str(EngineSpec.from_simulation_options(_mode_options(mode))),
+            runtime=result.runtime,
         )
         report.records.append(record)
         history = [trial_metrics_to_dict(m) for m in result.history]

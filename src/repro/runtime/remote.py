@@ -35,9 +35,12 @@ Failure handling, in increasing order of escalation:
   counter.  Construct with ``local_fallback=False`` to get the old
   fail-fast :class:`RemoteExecutionError` behavior.
 
-Per-endpoint request/retry/hedge/latency counters are exposed through
-:meth:`AsyncRemoteExecutor.runtime_counters`, which the search loop folds
-into :class:`~repro.core.fast.RuntimeStats`.
+The executor adds its batch / request / retry / hedge / failure /
+fallback counts and the per-endpoint counters (requests, successes,
+failures, retries, hedges, timeouts, latency seconds, the ``blacklisted``
+flag) straight into the process-wide counter store
+(:func:`repro.runtime.telemetry.get_counters`), whose delta over a search
+becomes :class:`~repro.core.fast.RuntimeStats`.
 """
 
 from __future__ import annotations
@@ -65,13 +68,14 @@ from repro.runtime.faults import get_fault_plan
 from repro.runtime.telemetry import (
     NULL_SPAN,
     TRACE_CONTEXT_HEADER,
+    get_counters,
     get_metrics,
     get_tracer,
 )
 
 __all__ = [
     "RemoteExecutionError",
-    "EndpointStats",
+    "EndpointState",
     "AsyncRemoteExecutor",
 ]
 
@@ -80,38 +84,36 @@ class RemoteExecutionError(RuntimeError):
     """A chunk could not be evaluated by any endpoint within its budgets."""
 
 
+#: Per-endpoint counters that also sum into a run-wide ``RuntimeStats`` field.
+_RUN_TOTALS = {
+    "requests": "remote_requests",
+    "retries": "remote_retries",
+    "hedges": "remote_hedges",
+    "failures": "remote_failures",
+}
+
+
 @dataclass
-class EndpointStats:
-    """Lifetime counters for one service endpoint."""
+class EndpointState:
+    """Dispatch state of one service endpoint; its counts live in the store."""
 
     url: str
-    requests: int = 0
-    successes: int = 0
-    failures: int = 0
-    retries: int = 0
-    hedges: int = 0
-    timeouts: int = 0
-    latency_seconds: float = 0.0
     consecutive_failures: int = 0
     blacklisted: bool = False
 
-    @property
-    def mean_latency_ms(self) -> float:
-        """Mean latency of successful requests, in milliseconds."""
-        return 1e3 * self.latency_seconds / self.successes if self.successes else 0.0
+    def count(self, key: str, amount: float = 1) -> None:
+        """Add to this endpoint's counter (and the matching run total)."""
+        counters = get_counters()
+        counters.add(key, amount, within=("endpoint_stats", self.url))
+        if key in _RUN_TOTALS:
+            counters.add(_RUN_TOTALS[key], amount)
 
-    def to_counters(self) -> Dict[str, float]:
-        """Flat counter dict merged into ``RuntimeStats.endpoint_stats``."""
-        return {
-            "requests": self.requests,
-            "successes": self.successes,
-            "failures": self.failures,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "timeouts": self.timeouts,
-            "latency_seconds": self.latency_seconds,
-            "blacklisted": 1.0 if self.blacklisted else 0.0,
-        }
+    def set_blacklisted(self, blacklisted: bool) -> None:
+        """Flip the dispatch flag and record it in the store."""
+        self.blacklisted = blacklisted
+        get_counters().set(
+            "blacklisted", float(blacklisted), within=("endpoint_stats", self.url)
+        )
 
 
 @dataclass
@@ -162,7 +164,9 @@ class AsyncRemoteExecutor(TrialExecutor):
         urls = [url.rstrip("/") for url in endpoints if url]
         if not urls:
             raise ValueError("AsyncRemoteExecutor needs at least one endpoint URL")
-        self.endpoints = [EndpointStats(url=url) for url in urls]
+        self.endpoints = [EndpointState(url=url) for url in urls]
+        for endpoint in self.endpoints:
+            endpoint.set_blacklisted(False)  # a reused URL starts clean
         self.timeout = float(timeout)
         self.max_retries = max(0, int(max_retries))
         self.backoff = max(0.0, float(backoff))
@@ -172,9 +176,6 @@ class AsyncRemoteExecutor(TrialExecutor):
         self.chunk_size = chunk_size if chunk_size is None else max(1, int(chunk_size))
         self.blacklist_after = max(1, int(blacklist_after))
         self.local_fallback = bool(local_fallback)
-        self.batches = 0
-        self.blacklist_resets = 0
-        self.fallbacks = 0
         self._fallback_executor: Optional[SerialExecutor] = None
         self._rotation = 0
         # Enough threads for a full fan-out plus hedges on every endpoint.
@@ -187,18 +188,18 @@ class AsyncRemoteExecutor(TrialExecutor):
     # ------------------------------------------------------------------
     # Endpoint selection / bookkeeping
     # ------------------------------------------------------------------
-    def _live_endpoints(self) -> List[EndpointStats]:
+    def _live_endpoints(self) -> List[EndpointState]:
         live = [e for e in self.endpoints if not e.blacklisted]
         if not live:
             # Graceful degradation: forgive everyone rather than deadlock.
             for endpoint in self.endpoints:
-                endpoint.blacklisted = False
+                endpoint.set_blacklisted(False)
                 endpoint.consecutive_failures = 0
-            self.blacklist_resets += 1
+            get_counters().add("remote_blacklist_resets")
             live = list(self.endpoints)
         return live
 
-    def _pick_endpoint(self, avoid: Optional[EndpointStats] = None) -> EndpointStats:
+    def _pick_endpoint(self, avoid: Optional[EndpointState] = None) -> EndpointState:
         live = self._live_endpoints()
         if avoid is not None and len(live) > 1:
             live = [e for e in live if e is not avoid]
@@ -206,10 +207,10 @@ class AsyncRemoteExecutor(TrialExecutor):
         self._rotation += 1
         return choice
 
-    def _record_failure(self, endpoint: EndpointStats, timed_out: bool) -> None:
-        endpoint.failures += 1
+    def _record_failure(self, endpoint: EndpointState, timed_out: bool) -> None:
+        endpoint.count("failures")
         if timed_out:
-            endpoint.timeouts += 1
+            endpoint.count("timeouts")
         endpoint.consecutive_failures += 1
         if endpoint.consecutive_failures >= self.blacklist_after:
             if not endpoint.blacklisted:
@@ -218,20 +219,20 @@ class AsyncRemoteExecutor(TrialExecutor):
                     "Endpoint transitions into the blacklist.",
                     ("endpoint",),
                 ).inc(endpoint=endpoint.url)
-            endpoint.blacklisted = True
+            endpoint.set_blacklisted(True)
 
-    def _record_success(self, endpoint: EndpointStats, latency: float) -> None:
-        endpoint.successes += 1
-        endpoint.latency_seconds += latency
+    def _record_success(self, endpoint: EndpointState, latency: float) -> None:
+        endpoint.count("successes")
+        endpoint.count("latency_seconds", latency)
         endpoint.consecutive_failures = 0
-        endpoint.blacklisted = False
+        endpoint.set_blacklisted(False)
 
     # ------------------------------------------------------------------
     # HTTP plumbing (blocking; runs on the thread pool)
     # ------------------------------------------------------------------
     def _post_evaluate(
         self,
-        endpoint: EndpointStats,
+        endpoint: EndpointState,
         payload: dict,
         span_info: Optional[dict] = None,
     ) -> List[TrialMetrics]:
@@ -311,7 +312,7 @@ class AsyncRemoteExecutor(TrialExecutor):
     # ------------------------------------------------------------------
     async def _attempt(
         self,
-        endpoint: EndpointStats,
+        endpoint: EndpointState,
         payload: dict,
         gate: asyncio.Semaphore,
         span_info: Optional[dict] = None,
@@ -321,13 +322,13 @@ class AsyncRemoteExecutor(TrialExecutor):
             # The gate capacity equals the HTTP thread-pool size, so the
             # timeout clock below only ever covers a request that actually
             # holds a pool thread — never time spent queued behind one.
-            endpoint.requests += 1
+            endpoint.count("requests")
             started = time.monotonic()
             return await self._attempt_on_thread(endpoint, payload, loop, started, span_info)
 
     async def _attempt_on_thread(
         self,
-        endpoint: EndpointStats,
+        endpoint: EndpointState,
         payload: dict,
         loop,
         started: float,
@@ -357,9 +358,9 @@ class AsyncRemoteExecutor(TrialExecutor):
         self,
         index: int,
         payload: dict,
-        active_endpoint: Dict[int, EndpointStats],
+        active_endpoint: Dict[int, EndpointState],
         gate: asyncio.Semaphore,
-        avoid: Optional[EndpointStats] = None,
+        avoid: Optional[EndpointState] = None,
         hedged: bool = False,
         parent_header: Optional[str] = None,
     ) -> _ChunkOutcome:
@@ -370,7 +371,7 @@ class AsyncRemoteExecutor(TrialExecutor):
             avoid = None  # only the first (hedge) attempt avoids the straggler
             active_endpoint[index] = endpoint
             if attempt:
-                endpoint.retries += 1
+                endpoint.count("retries")
                 await asyncio.sleep(min(delay, self.backoff_cap))
                 delay *= 2
             plan = get_fault_plan()
@@ -383,14 +384,14 @@ class AsyncRemoteExecutor(TrialExecutor):
                 if slow is not None:
                     await asyncio.sleep(slow.delay)
                 if plan.fire("remote-drop") is not None:
-                    endpoint.requests += 1
+                    endpoint.count("requests")
                     self._record_failure(endpoint, timed_out=False)
                     last_error = RemoteExecutionError(
                         f"injected connection drop for {endpoint.url}"
                     )
                     continue
                 if plan.fire("remote-timeout") is not None:
-                    endpoint.requests += 1
+                    endpoint.count("requests")
                     self._record_failure(endpoint, timed_out=True)
                     last_error = RemoteExecutionError(
                         f"injected timeout for {endpoint.url}"
@@ -418,7 +419,7 @@ class AsyncRemoteExecutor(TrialExecutor):
         self, payloads: List[dict], parent_header: Optional[str] = None
     ) -> List[List[TrialMetrics]]:
         results: List[Optional[List[TrialMetrics]]] = [None] * len(payloads)
-        active_endpoint: Dict[int, EndpointStats] = {}
+        active_endpoint: Dict[int, EndpointState] = {}
         gate = asyncio.Semaphore(self._http_pool_size)
         tasks: Dict[asyncio.Task, int] = {
             asyncio.ensure_future(
@@ -449,7 +450,7 @@ class AsyncRemoteExecutor(TrialExecutor):
                     hedged.add(index)
                     straggling = active_endpoint.get(index)
                     if straggling is not None:
-                        straggling.hedges += 1
+                        straggling.count("hedges")
                     hedge = asyncio.ensure_future(
                         self._eval_chunk(
                             index, payloads[index], active_endpoint, gate,
@@ -531,7 +532,7 @@ class AsyncRemoteExecutor(TrialExecutor):
             if not self.local_fallback:
                 raise
             return self._evaluate_locally(evaluator, space, batch, error)
-        self.batches += 1
+        get_counters().add("remote_batches")
         merged: List[TrialMetrics] = []
         for piece in chunk_results:
             merged.extend(piece)
@@ -552,7 +553,7 @@ class AsyncRemoteExecutor(TrialExecutor):
         would have returned; the degradation shows up as a span and the
         ``remote_fallbacks`` counter, never in the history.
         """
-        self.fallbacks += 1
+        get_counters().add("remote_fallbacks")
         get_metrics().counter(
             "repro_remote_fallbacks_total",
             "Batches evaluated by the local fallback after remote failure.",
@@ -566,22 +567,8 @@ class AsyncRemoteExecutor(TrialExecutor):
             if self._fallback_executor is None:
                 self._fallback_executor = SerialExecutor()
             merged = self._fallback_executor.evaluate_batch(evaluator, space, batch)
-        self.batches += 1
+        get_counters().add("remote_batches")
         return merged
 
     def close(self) -> None:
         self._http_pool.shutdown(wait=False, cancel_futures=True)
-
-    # ------------------------------------------------------------------
-    def runtime_counters(self) -> Dict[str, object]:
-        """Counters the search loop folds into ``RuntimeStats``."""
-        return {
-            "remote_batches": self.batches,
-            "remote_requests": sum(e.requests for e in self.endpoints),
-            "remote_retries": sum(e.retries for e in self.endpoints),
-            "remote_hedges": sum(e.hedges for e in self.endpoints),
-            "remote_failures": sum(e.failures for e in self.endpoints),
-            "remote_blacklist_resets": self.blacklist_resets,
-            "remote_fallbacks": self.fallbacks,
-            "endpoint_stats": {e.url: e.to_counters() for e in self.endpoints},
-        }

@@ -77,6 +77,7 @@ from repro.runtime.telemetry import (
     TRACE_CONTEXT_HEADER,
     MetricsRegistry,
     Tracer,
+    get_counters,
 )
 
 __all__ = ["ServiceStats", "EvaluationService", "serve"]
@@ -367,21 +368,17 @@ class EvaluationService:
             "repro_service_fingerprint_rejections",
             "Evaluate requests refused on fingerprint mismatch.",
         ).set(self.stats.fingerprint_rejections)
-        from repro.runtime.opcache import get_op_cache, get_region_cache
-
-        op_hits, op_misses = get_op_cache(
-            self.simulation_overrides.get("op_cache_path")
-        ).snapshot_counters()
+        counts = get_counters().snapshot()
         cache = self.metrics.gauge(
             "repro_cache_lookups",
-            "Cost-cache lookups in this process, by cache and outcome.",
+            "Cost-cache lookups by this process and its pool workers, by "
+            "cache and outcome.",
             ("cache", "outcome"),
         )
-        cache.set(op_hits, cache="op", outcome="hit")
-        cache.set(op_misses, cache="op", outcome="miss")
-        region_hits, region_misses = get_region_cache().snapshot_counters()
-        cache.set(region_hits, cache="region", outcome="hit")
-        cache.set(region_misses, cache="region", outcome="miss")
+        cache.set(counts.get("op_cache_hits", 0), cache="op", outcome="hit")
+        cache.set(counts.get("op_cache_misses", 0), cache="op", outcome="miss")
+        cache.set(counts.get("region_cache_hits", 0), cache="region", outcome="hit")
+        cache.set(counts.get("region_cache_misses", 0), cache="region", outcome="miss")
         return self.metrics.expose()
 
     def health_snapshot(self) -> dict:

@@ -58,6 +58,7 @@ from repro.runtime.batching import proposal_key
 from repro.runtime.cache import TrialCache
 from repro.runtime.exchange import ExchangeClient, Scoreboard, make_scoreboard
 from repro.runtime.executor import TrialExecutor
+from repro.runtime.telemetry import merge_counts
 from repro.search.pareto import ParetoFront
 
 __all__ = [
@@ -363,13 +364,15 @@ def merge_shard_results(shard_results: Sequence[ShardResult]) -> SweepResult:
     assignments carry identical metrics.  The merged Pareto front replays
     every unique feasible trial with the same (mean latency, TDP, area)
     objectives the single-search front uses, tagging each point's payload
-    with its originating shard and trial index.
+    with its originating shard and trial index.  Runtime statistics merge
+    with :func:`~repro.runtime.telemetry.merge_counts`: counts sum,
+    ``engine`` keeps the latest shard's echo, ``blacklisted`` the max.
     """
     ordered = sorted(shard_results, key=lambda r: r.spec.shard_id)
     merged = SweepResult(shards=[r.spec for r in ordered])
 
     seen_keys: Dict[str, SweepTrial] = {}
-    total = RuntimeStats()
+    totals: Dict[str, object] = {}
     best: Optional[SweepTrial] = None
     for shard in ordered:
         shard_best = float("nan")
@@ -408,33 +411,10 @@ def merge_shard_results(shard_results: Sequence[ShardResult]) -> SweepResult:
                 )
         merged.shard_best_scores[shard.spec.shard_id] = shard_best
         if shard.runtime is not None:
-            _accumulate_runtime(total, shard.runtime)
+            merge_counts(totals, runtime_stats_to_dict(shard.runtime))
     merged.best_trial = best
-    merged.runtime = total
+    merged.runtime = runtime_stats_from_dict(totals)
     return merged
-
-
-def _accumulate_runtime(total: RuntimeStats, shard: RuntimeStats) -> None:
-    """Fold one shard's runtime stats into the sweep total.
-
-    Numeric counters/timings sum; the per-endpoint counter maps merge by
-    endpoint URL (counters sum, the ``blacklisted`` flag keeps its latest
-    truthy value).  Iterating the dataclass fields keeps the merge complete
-    as new counters are added.
-    """
-    for stats_field in dataclasses.fields(RuntimeStats):
-        value = getattr(shard, stats_field.name)
-        if isinstance(value, (int, float)):
-            setattr(total, stats_field.name, getattr(total, stats_field.name) + value)
-        elif isinstance(value, dict):
-            merged_map = getattr(total, stats_field.name)
-            for url, counters in value.items():
-                into = merged_map.setdefault(url, {})
-                for key, amount in counters.items():
-                    if key == "blacklisted":
-                        into[key] = max(into.get(key, 0.0), amount)
-                    else:
-                        into[key] = into.get(key, 0.0) + amount
 
 
 def run_sharded_sweep(

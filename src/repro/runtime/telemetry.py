@@ -49,6 +49,32 @@ handles::
     get_metrics().counter(
         "repro_remote_requests_total", "Remote requests.", ("endpoint", "status")
     ).inc(endpoint=url, status="ok")
+
+Counters
+--------
+:class:`CounterStore` is the one process-wide store of run counts and stage
+seconds that :class:`~repro.core.fast.RuntimeStats` is built from.  Values
+live in a nested dict keyed like ``RuntimeStats`` fields (per-endpoint
+counts under ``endpoint_stats`` → URL), and three operations cover every
+report:
+
+* ``add(key, amount)`` accumulates: each timed stage site (``batch_map``,
+  ``fusion``, per-vector-op and ``evaluate``) adds its seconds once per
+  call, the remote executor adds its request / retry / hedge / failure /
+  fallback and per-endpoint counts, the process pool its restarts.
+* ``snapshot()`` then ``delta(before)`` read what happened over a run.  A
+  snapshot also folds in the registered ``sources`` — the op and region
+  cost caches report their hit / miss / disk-hit counters that way, so the
+  lookup hot path never touches the store.
+* ``merge(delta)`` folds a delta from another process in: each pool task
+  ships ``delta(snapshot)`` home, and sweeps merge shard statistics the
+  same way.
+
+Two values are last-value facts rather than counts: the ``engine`` echo
+and each endpoint's ``blacklisted`` flag.  A delta carries their current
+value and a merge keeps the latest non-empty ``engine`` and the larger
+``blacklisted``.  Counts that did not move are left out of a delta, and so
+are endpoints none of whose counts moved.
 """
 
 from __future__ import annotations
@@ -62,7 +88,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "TRACE_CONTEXT_HEADER",
@@ -86,6 +112,9 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "reset_metrics",
+    "CounterStore",
+    "get_counters",
+    "merge_counts",
 ]
 
 #: HTTP header carrying ``trace_id:span_id`` from a client request span to
@@ -902,3 +931,101 @@ def reset_metrics() -> MetricsRegistry:
     global _GLOBAL_METRICS
     _GLOBAL_METRICS = MetricsRegistry()
     return _GLOBAL_METRICS
+
+
+# ---------------------------------------------------------------------------
+# Counters
+# ---------------------------------------------------------------------------
+Counts = Dict[str, object]
+
+
+def _is_fact(key: str, value: object) -> bool:
+    """Last-value facts: the ``engine`` echo and the ``blacklisted`` flags."""
+    return key == "blacklisted" or isinstance(value, str)
+
+
+def merge_counts(into: Counts, delta: Counts) -> Counts:
+    """Fold ``delta`` into ``into`` and return it.
+
+    Counts sum and nested maps merge key by key; ``engine`` keeps the latest
+    non-empty value and ``blacklisted`` the larger one.
+    """
+    for key, value in delta.items():
+        if isinstance(value, dict):
+            merge_counts(into.setdefault(key, {}), value)
+        elif isinstance(value, str):
+            into[key] = value or into.get(key, "")
+        elif key == "blacklisted":
+            into[key] = max(into.get(key, 0.0), value)
+        else:
+            into[key] = into.get(key, 0) + value
+    return into
+
+
+def _count_delta(now: Counts, before: Counts) -> Counts:
+    delta: Counts = {}
+    for key, value in now.items():
+        if isinstance(value, dict):
+            inner = _count_delta(value, before.get(key) or {})
+            if any(not _is_fact(k, v) for k, v in inner.items()):
+                delta[key] = inner
+        elif _is_fact(key, value):
+            delta[key] = value
+        elif value != before.get(key, 0):
+            delta[key] = value - before.get(key, 0)
+    return delta
+
+
+class CounterStore:
+    """Process-wide run counts and stage seconds (see *Counters* above).
+
+    ``sources`` holds callables returning counts kept elsewhere; every
+    snapshot adds them in.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._values: Counts = {}
+        self.sources: List[Callable[[], Counts]] = []
+
+    def _table(self, within: Tuple[str, ...]) -> Counts:
+        table = self._values
+        for part in within:
+            table = table.setdefault(part, {})
+        return table
+
+    def add(self, key: str, amount: float = 1, within: Tuple[str, ...] = ()) -> None:
+        """Accumulate ``amount`` under ``key``, inside the nested ``within`` maps."""
+        with self._lock:
+            table = self._table(within)
+            table[key] = table.get(key, 0) + amount
+
+    def set(self, key: str, value: object, within: Tuple[str, ...] = ()) -> None:
+        """Record a last-value fact (``engine``, ``blacklisted``)."""
+        with self._lock:
+            self._table(within)[key] = value
+
+    def snapshot(self) -> Counts:
+        """Deep copy of every value, sources included."""
+        with self._lock:
+            snap = merge_counts({}, self._values)
+        for source in self.sources:
+            merge_counts(snap, source())
+        return snap
+
+    def delta(self, before: Counts) -> Counts:
+        """What moved since ``before``, an earlier :meth:`snapshot`."""
+        return _count_delta(self.snapshot(), before)
+
+    def merge(self, delta: Counts) -> None:
+        """Fold in a delta from another process (see :func:`merge_counts`)."""
+        with self._lock:
+            merge_counts(self._values, delta)
+
+
+_GLOBAL_COUNTERS = CounterStore()
+
+
+def get_counters() -> CounterStore:
+    """The process-wide counter store."""
+    return _GLOBAL_COUNTERS

@@ -34,11 +34,12 @@ from repro.workloads.registry import build_workload
 
 __all__ = ["SimulationOptions", "Simulator", "clear_compiled_cache", "precompile_graph"]
 
-# Lazily resolved tracer accessor: ``repro.runtime`` imports this module
+# Lazily resolved telemetry accessors: ``repro.runtime`` imports this module
 # during its own package init, so a module-level telemetry import would be
 # circular.  Cached after the first call; with tracing disabled the hot path
 # pays one function call + attribute check per span site.
 _get_tracer = None
+_COUNTERS = None
 
 
 def _tracer():
@@ -48,6 +49,15 @@ def _tracer():
 
         _get_tracer = get_tracer
     return _get_tracer()
+
+
+def _counters():
+    global _COUNTERS
+    if _COUNTERS is None:
+        from repro.runtime.telemetry import get_counters
+
+        _COUNTERS = get_counters()
+    return _COUNTERS
 
 
 @dataclass
@@ -268,10 +278,12 @@ def _dominant_vector_type(region: FusionRegion) -> OpType:
 class Simulator:
     """Evaluates workloads on a datapath configuration.
 
-    ``stage_seconds`` accumulates wall-clock time spent in the mapper, the
-    VPU cost model, and the fusion pass across every ``simulate`` call on this
-    instance — the raw material for ``repro profile`` and
-    :class:`~repro.core.fast.RuntimeStats` per-stage timings.
+    ``simulate`` times three stages once per call site — the batched mapper
+    call, each vector-op costing, and the fusion pass — and adds the
+    seconds to the process-wide counter store
+    (:func:`repro.runtime.telemetry.get_counters`) as ``mapper_seconds``,
+    ``vector_seconds`` and ``fusion_seconds``: the raw material for
+    ``repro profile`` and :class:`~repro.core.fast.RuntimeStats`.
     """
 
     def __init__(
@@ -283,7 +295,6 @@ class Simulator:
         self.options = options or SimulationOptions()
         self._core_config = self._derive_core_config(config)
         self.hierarchy = MemoryHierarchy(self._core_config)
-        self.stage_seconds: Dict[str, float] = {"mapper": 0.0, "vector": 0.0, "fusion": 0.0}
         self.op_cache = None
         if self.options.op_cache_enabled:
             # Imported lazily: repro.runtime imports this module at package
@@ -362,7 +373,7 @@ class Simulator:
             ):
                 started = time.perf_counter()
                 premapped = self.mapper.map_ops_batch(gather_ops, graph.tensors)
-                self.stage_seconds["mapper"] += time.perf_counter() - started
+                _counters().add("mapper_seconds", time.perf_counter() - started)
 
         region_perf: List[RegionPerformance] = []
         region_stats: List[RegionStats] = []
@@ -420,7 +431,7 @@ class Simulator:
             ):
                 started = time.perf_counter()
                 fusion_result = optimizer.optimize(region_stats)
-                self.stage_seconds["fusion"] += time.perf_counter() - started
+                _counters().add("fusion_seconds", time.perf_counter() - started)
             for record, cycles, decision in zip(
                 region_perf, fusion_result.region_cycles, fusion_result.decisions
             ):
@@ -506,11 +517,12 @@ class Simulator:
         vector_costs: List[OpCost] = []
         op_busy_cycles: Dict[str, float] = {}
         op_cache = self.op_cache
-        stage_seconds = self.stage_seconds
+        vector_seconds = 0.0
         for op, is_matrix in region.ops:
             if is_matrix:
                 cost = premapped[op.name]
                 if cost.schedule_failed:
+                    _counters().add("vector_seconds", vector_seconds)
                     return None, None
                 matrix_costs.append(cost)
                 op_busy_cycles[op.name] = cost.compute_cycles
@@ -526,9 +538,10 @@ class Simulator:
                     cost = vector_op_cost(op, tensors, core, compiled.softmax_factors)
                     if op_cache is not None:
                         op_cache.put(vector_key, cost)
-                stage_seconds["vector"] += time.perf_counter() - started
+                vector_seconds += time.perf_counter() - started
                 vector_costs.append(cost)
                 op_busy_cycles[op.name] = cost.vector_cycles
+        _counters().add("vector_seconds", vector_seconds)
         if region.anchor is not None:
             anchor_cost: Optional[OpCost] = matrix_costs[region.anchor]
         else:

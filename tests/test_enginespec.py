@@ -21,6 +21,7 @@ from repro.core.fast import FASTSearch
 from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.core.trial import TrialEvaluator
 from repro.hardware.datapath import BufferConfig, DatapathConfig
+from repro.hardware.search_space import DatapathSearchSpace
 from repro.mapping.mapper import Mapper, MapperOptions
 from repro.reporting.serialization import (
     simulation_options_from_dict,
@@ -30,6 +31,7 @@ from repro.reporting.serialization import (
 from repro.runtime import ParallelExecutor
 from repro.runtime.cache import problem_fingerprint
 from repro.runtime.opcache import OpCostCache, reset_op_caches
+from repro.runtime.telemetry import get_counters
 from repro.simulator.engine import SimulationOptions
 from repro.simulator.enginespec import DEFAULT_ENGINE, MAPPER_MODES, EngineSpec
 from repro.workloads.registry import available_workloads
@@ -319,9 +321,18 @@ class TestEngineEquivalence:
         reset_op_caches()
         with ParallelExecutor(num_workers=2) as executor:
             parallel, result = _history("efficientnet-b0", spec, executor=executor)
-            counters = executor.runtime_counters()
-        # The workers themselves report the engine they resolved — proof the
-        # pool inherited the parent's spec rather than a silent default.
-        assert counters["engine"] == "scalar:region_cache=off"
         assert result.runtime.engine == "scalar:region_cache=off"
         assert parallel == serial
+        # The workers themselves report the engine they resolved — proof the
+        # pool inherited the parent's spec rather than a silent default: with
+        # this process's own echo blanked, the merged task deltas restore it.
+        evaluator = TrialEvaluator(
+            result.problem,
+            simulation_options=spec.to_simulation_options(fusion_solver="greedy"),
+        )
+        counters = get_counters()
+        counters.set("engine", "")
+        before = counters.snapshot()
+        with ParallelExecutor(num_workers=2) as executor:
+            executor.evaluate_batch(evaluator, DatapathSearchSpace(), result.proposals[:2])
+        assert counters.delta(before)["engine"] == "scalar:region_cache=off"

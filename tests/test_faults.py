@@ -449,16 +449,14 @@ class TestRemoteInjection:
             executor = AsyncRemoteExecutor(
                 [service.url], timeout=30.0, max_retries=3, backoff=0.01
             )
-            evaluator = TrialEvaluator(_problem())
-            space = DatapathSearchSpace()
-            batch = [space.sample(np.random.default_rng(0))]
             try:
-                executor.evaluate_batch(evaluator, space, batch)
-                counters = executor.runtime_counters()
+                result = FASTSearch(
+                    _problem(), optimizer="random", seed=0, executor=executor
+                ).run(num_trials=1)
             finally:
                 executor.close()
-        assert counters["remote_retries"] >= 1
-        assert counters["endpoint_stats"][service.url]["timeouts"] >= 1
+        assert result.runtime.remote_retries >= 1
+        assert result.runtime.endpoint_stats[service.url]["timeouts"] >= 1
 
 
 # ---------------------------------------------------------------------------

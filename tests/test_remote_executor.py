@@ -40,6 +40,7 @@ from repro.runtime.executor import SerialExecutor, make_executor, register_execu
 from repro.runtime.faults import FaultPlan
 from repro.runtime.remote import AsyncRemoteExecutor, RemoteExecutionError
 from repro.runtime.service import EvaluationService
+from repro.runtime.telemetry import get_counters
 from repro.runtime.sharding import run_sharded_sweep
 from repro.search.annealing import SimulatedAnnealingOptimizer
 from repro.search.bayesian import BayesianOptimizer
@@ -252,15 +253,15 @@ class TestFaultHandling:
         batch = [space.sample(np.random.default_rng(0)) for _ in range(3)]
         expected = SerialExecutor().evaluate_batch(evaluator, space, batch)
         executor = _remote([service.url], max_retries=1)
+        before = get_counters().snapshot()
         try:
             got = executor.evaluate_batch(evaluator, space, batch)
-            counters = executor.runtime_counters()
         finally:
             executor.close()
         assert [trial_metrics_to_dict(m) for m in got] == [
             trial_metrics_to_dict(m) for m in expected
         ]
-        assert counters["remote_fallbacks"] == 1
+        assert get_counters().delta(before)["remote_fallbacks"] == 1
 
     def test_fallback_search_reproduces_serial_history(self, flaky_service,
                                                        serial_reference):

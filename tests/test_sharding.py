@@ -191,6 +191,12 @@ class TestMerge:
             s.runtime.trials_evaluated for s in shards
         )
         assert merged.runtime.batches == sum(s.runtime.batches for s in shards)
+        assert merged.runtime.mapper_seconds == sum(
+            s.runtime.mapper_seconds for s in shards
+        )
+        assert merged.runtime.op_cache_hits == sum(
+            s.runtime.op_cache_hits for s in shards
+        )
 
     def test_pareto_payload_carries_provenance(self):
         merged = merge_shard_results(self._two_shards())

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 import time
 import urllib.request
 
@@ -23,12 +25,14 @@ from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.reporting.serialization import trial_metrics_to_dict
 from repro.runtime import telemetry
 from repro.runtime.executor import ParallelExecutor
+from repro.runtime.opcache import reset_op_caches
 from repro.runtime.profiling import summarize_trace
 from repro.runtime.progress import TRIAL_FINISHED, ProgressBus, ProgressPrinter
 from repro.runtime.remote import AsyncRemoteExecutor
 from repro.runtime.service import EvaluationService
 from repro.runtime.telemetry import (
     NULL_SPAN,
+    CounterStore,
     MetricsRegistry,
     SpanRecord,
     Tracer,
@@ -436,6 +440,105 @@ class TestSearchIntegration:
             name_part, value = line.rsplit(" ", 1)
             assert name_part and float(value) == float(value)
 
+    def test_metrics_count_pool_worker_cache_lookups(self):
+        """``/metrics`` of a ``--workers 2`` service counts the lookups its
+        pool workers make, not only the (idle) service process's own."""
+
+        def op_misses(url):
+            with urllib.request.urlopen(f"{url}/metrics", timeout=10) as reply:
+                for line in reply.read().decode().splitlines():
+                    if line.startswith('repro_cache_lookups{cache="op",outcome="miss"}'):
+                        return float(line.rsplit(" ", 1)[1])
+            raise AssertionError("no op-miss sample in /metrics")
+
+        reset_op_caches()  # cold caches: the pool workers must miss
+        with EvaluationService(workers=2) as service:
+            before = op_misses(service.url)
+            executor = AsyncRemoteExecutor([service.url], timeout=60.0, hedge_after=None)
+            try:
+                result = _run_search(executor=executor)
+            finally:
+                executor.close()
+            after = op_misses(service.url)
+        assert result.runtime.remote_fallbacks == 0
+        assert after > before
+
+
+# ---------------------------------------------------------------------------
+# Counter store
+# ---------------------------------------------------------------------------
+class TestCounterStore:
+    def test_delta_keeps_what_moved_and_the_facts(self):
+        store = CounterStore()
+        store.add("eval_seconds", 0.5)
+        store.set("engine", "scalar")
+        store.set("blacklisted", 0.0, within=("endpoint_stats", "http://a"))
+        before = store.snapshot()
+        store.add("eval_seconds", 0.25)
+        store.add("op_cache_hits", 3)
+        store.add("requests", 2, within=("endpoint_stats", "http://b"))
+        store.set("blacklisted", 1.0, within=("endpoint_stats", "http://b"))
+        assert store.delta(before) == {
+            "eval_seconds": 0.25,
+            "engine": "scalar",
+            "op_cache_hits": 3,
+            # http://a: no count moved, so its flag stays out.
+            "endpoint_stats": {"http://b": {"requests": 2, "blacklisted": 1.0}},
+        }
+
+    def test_snapshot_adds_sources_and_is_a_copy(self):
+        store = CounterStore()
+        store.sources.append(lambda: {"op_cache_misses": 4})
+        store.add("op_cache_misses", 1)
+        store.add("requests", within=("endpoint_stats", "http://a"))
+        snap = store.snapshot()
+        assert snap["op_cache_misses"] == 5
+        snap["endpoint_stats"]["http://a"]["requests"] = 99
+        assert store.snapshot()["endpoint_stats"]["http://a"]["requests"] == 1
+
+    def test_merge_sums_counts_latest_engine_max_blacklisted(self):
+        store = CounterStore()
+        store.merge({"mapper_seconds": 1.0, "engine": "scalar",
+                     "endpoint_stats": {"u": {"requests": 1, "blacklisted": 1.0}}})
+        store.merge({"mapper_seconds": 2.0, "engine": "",
+                     "endpoint_stats": {"u": {"requests": 2, "blacklisted": 0.0}}})
+        store.merge({"engine": "graph-batched"})
+        assert store.snapshot() == {
+            "mapper_seconds": 3.0,
+            "engine": "graph-batched",
+            "endpoint_stats": {"u": {"requests": 3, "blacklisted": 1.0}},
+        }
+
+    def test_concurrent_adds_and_snapshots(self):
+        """Threads adding new endpoints while others snapshot: no update is
+        lost and no snapshot trips over a map growing under it."""
+        store = CounterStore()
+        errors = []
+
+        def work(worker):
+            try:
+                for i in range(200):
+                    store.add("requests", 1, within=("endpoint_stats", f"{worker}-{i}"))
+                    store.add("eval_seconds", 1)
+                    store.snapshot()
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        snap = store.snapshot()
+        assert snap["eval_seconds"] == 1600
+        assert len(snap["endpoint_stats"]) == 1600
 
 # ---------------------------------------------------------------------------
 # Progress lines (cache hit rates) and the CLI surface

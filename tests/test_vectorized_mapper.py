@@ -37,6 +37,7 @@ from repro.runtime.opcache import (
     opcost_to_dict,
     reset_op_caches,
 )
+from repro.runtime.telemetry import get_counters
 from repro.simulator.engine import SimulationOptions, Simulator
 from repro.workloads.ops import is_matrix_op
 from repro.workloads.registry import available_workloads, build_workload
@@ -377,9 +378,11 @@ class TestSimulatorIntegration:
 
     def test_stage_seconds_accumulate(self, small_config, tiny_graph):
         simulator = Simulator(small_config, SimulationOptions(fusion_solver="greedy"))
+        before = get_counters().snapshot()
         simulator.simulate(tiny_graph)
-        assert simulator.stage_seconds["mapper"] > 0
-        assert simulator.stage_seconds["vector"] > 0
+        stages = get_counters().delta(before)
+        assert stages["mapper_seconds"] > 0
+        assert stages["vector_seconds"] > 0
 
     def test_problem_memo_is_correct_across_graphs(self, small_config):
         """Two ops with identical names in different graphs must not collide."""
