@@ -46,7 +46,7 @@ lookups = [r["runtime"]["op_cache_hits"] + r["runtime"]["op_cache_misses"]
 if lookups[0] != lookups[1]:
     raise SystemExit(f"op lookup totals differ: serial {lookups[0]}, --workers 2 {lookups[1]}")
 for name, result in (("serial", serial), ("--workers 2", pool)):
-    for stage in ("mapper_seconds", "eval_seconds"):
+    for stage in ("mapper_seconds", "vector_seconds", "eval_seconds"):
         if not result["runtime"][stage] > 0:
             raise SystemExit(f"{name} run reports {stage} = {result['runtime'][stage]}")
 if serial["runtime"]["engine"] != pool["runtime"]["engine"]:

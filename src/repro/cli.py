@@ -151,7 +151,7 @@ they can change only wall-clock time, never a search history:
   evaluations, keyed by graph fingerprint, region index, and
   mapping-relevant datapath sub-config.  Each process keeps its own;
   fork-started pool workers inherit the parent's warm entries.
-* **op cache** — per-op mapping and vector costs, in a memory LRU with an
+* **op cache** — per-op matrix mapping costs, in a memory LRU with an
   optional persistent JSON-lines store, ``--op-cache PATH``.  The store is
   digest-keyed and append-only (single-write appends make concurrent
   writers safe; duplicates are folded by compaction) and is warm-loaded at

@@ -248,12 +248,15 @@ class Mapper:
                 self._cache[key] = cost
                 if self.op_cache is not None:
                     self.op_cache.put((self._config_key, key), cost)
-        return {
-            op.name: OpCost(
-                **{**self._cache[key].__dict__, "op_name": op.name, "op_type": op.op_type}
-            )
-            for op, key in slots
-        }
+        costs = {}
+        for op, key in slots:
+            cost = self._cache[key]
+            if cost.op_name != op.name or cost.op_type is not op.op_type:
+                cost = OpCost(
+                    **{**cost.__dict__, "op_name": op.name, "op_type": op.op_type}
+                )
+            costs[op.name] = cost
+        return costs
 
     # ------------------------------------------------------------------
     def _problem_key(self, problem: MatrixProblem) -> Tuple:

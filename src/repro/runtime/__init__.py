@@ -7,8 +7,8 @@ engine, layered as:
 * :mod:`repro.runtime.batching` — batched ask/tell over any optimizer,
 * :mod:`repro.runtime.cache` — persistent memoization of trial metrics with
   shard-safe concurrent writers, compaction, and size-cap auto-compaction,
-* :mod:`repro.runtime.opcache` — cross-trial memoization of per-op mapping
-  and vector costs (memory LRU, optionally persisted as a JSON-lines op
+* :mod:`repro.runtime.opcache` — cross-trial memoization of per-op matrix
+  mapping costs (memory LRU, optionally persisted as a JSON-lines op
   store) plus a private in-memory LRU of whole evaluated fusion regions,
   keyed by graph fingerprint + mapping-relevant sub-config,
 * :mod:`repro.runtime.checkpoint` — periodic save + ``--resume`` support,

@@ -10,10 +10,9 @@ processes and restarts) and keyed by the pair
 so neighboring design points that agree on the mapping-relevant slice of the
 configuration — no matter how their fusion, memory, or batch parameters
 differ — reuse each other's mapped op costs instead of re-running the
-candidate sweep.  Vector-op costs are cached the same way under a
-``(graph fingerprint, op, VPU lanes, softmax factors)`` key built by
-:func:`repro.simulator.vector_ops.vector_cost_cache_key`.  One level up,
-:class:`RegionCostCache` memoizes whole fusion-region evaluations.
+candidate sweep.  Vector ops need no cache: the simulator's region plan
+holds each one's VPU work, so its cost is one division per trial.  One
+level up, :class:`RegionCostCache` memoizes whole fusion-region evaluations.
 
 A lookup falls through at most two tiers:
 
@@ -157,12 +156,12 @@ def opcost_from_dict(data: Dict[str, object]) -> OpCost:
 
 # ---------------------------------------------------------------------------
 class OpCostCache:
-    """Cache of per-op mapping / vector costs: memory LRU + JSONL op store.
+    """Cache of per-op matrix mapping costs: memory LRU + JSONL op store.
 
-    Keys are hashable tuples built by the mapper / simulator; the raw index
-    (and the persistent store behind it) keys them by a SHA-256 digest of
-    their canonical JSON form, so any process that derives the same key
-    reads the same record.
+    Keys are ``(mapping config key, problem key)`` tuples built by the
+    mapper; the raw index (and the persistent store behind it) keys them by
+    a SHA-256 digest of their canonical JSON form, so any process that
+    derives the same key reads the same record.
 
     Args:
         path: Optional JSON-lines store; created on first put.

@@ -16,7 +16,7 @@ separate accelerator serving its own batch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.passes import CompiledModel, compile_graph
@@ -27,7 +27,7 @@ from repro.hardware.memory import MemoryHierarchy
 from repro.mapping.costmodel import OpCost
 from repro.mapping.mapper import Mapper, MapperOptions
 from repro.simulator.result import RegionPerformance, SimulationResult
-from repro.simulator.vector_ops import vector_cost_cache_key, vector_op_cost, vpu_lanes_per_core
+from repro.simulator.vector_ops import vector_op_work, vpu_lanes_per_core
 from repro.workloads.graph import Graph, Operation, TensorKind
 from repro.workloads.ops import OpType, is_matrix_op
 from repro.workloads.registry import build_workload
@@ -75,8 +75,9 @@ class SimulationOptions:
     * ``region_cache_enabled`` — memoize whole fusion-region evaluations
       across trials through :func:`repro.runtime.opcache.get_region_cache`;
       fusion-stable regions skip even the gather step on warm trials.
-    * ``op_cache_enabled`` — share per-op mapping/vector costs across trials
-      through the process-local :func:`repro.runtime.opcache.get_op_cache`.
+    * ``op_cache_enabled`` — share matrix-op mapping costs across trials
+      through the process-local :func:`repro.runtime.opcache.get_op_cache`
+      (vector-op costs come from the region plan and need no cache).
     * ``op_cache_path`` — optionally persist that cache as JSON lines.
 
     Prefer building these knobs through
@@ -130,17 +131,22 @@ def clear_compiled_cache() -> None:
 
 # ---------------------------------------------------------------------------
 # Region plans.  Everything about a fusion region that does not depend on the
-# trial — which ops are matrix ops, tensor byte sums, which matrix op's
-# traffic amplification applies to each external tensor, the fusion
-# predecessor — is derived once per compiled graph and stored on it, so
-# fork-started workers inherit the plans of every graph the parent warmed.
-# Per trial, ``Simulator._evaluate_region`` only combines op costs with it.
+# trial — which ops are matrix ops, each vector op's VPU work, tensor byte
+# sums, which matrix op's traffic amplification applies to each external
+# tensor, the fusion predecessor — is derived once per compiled graph and
+# stored on it, so fork-started workers inherit the plans of every graph the
+# parent warmed.  Per trial, ``Simulator._evaluate_region`` only combines the
+# mapped matrix-op costs and the VPU lane count with it.
 # ---------------------------------------------------------------------------
 class _RegionPlan:
     """Trial-independent facts about one fusion region.
 
-    ``ops`` pairs each op with its matrix/vector flag; ``matrix_bytes`` holds
-    each matrix op's (activation input, weight input, output) byte sums.
+    ``matrix_ops`` lists the region's matrix ops and ``matrix_bytes`` each
+    one's (activation input, weight input, output) byte sums.  The vector
+    ops, in region order, are ``vector_names`` with their effective VPU work
+    ``vector_work`` (:func:`~repro.simulator.vector_ops.vector_op_work`), so
+    a vector op's cycles are ``work / lanes``; ``vector_flops`` is their
+    total useful FLOPs.
     ``inputs`` and ``weights`` list ``(traffic, source)`` per external tensor:
     ``source`` is the position of the last matrix op reading the tensor, whose
     traffic amplification multiplies the tensor's size; without one,
@@ -149,7 +155,8 @@ class _RegionPlan:
     """
 
     __slots__ = (
-        "index", "name", "op_names", "primary_op_type", "ops", "matrix_ops",
+        "index", "name", "op_names", "primary_op_type", "matrix_ops",
+        "vector_names", "vector_work", "vector_flops",
         "anchor", "matrix_bytes", "inputs", "weights", "output_traffic",
         "predecessor", "is_graph_output", "input_bytes", "weight_bytes",
         "output_bytes",
@@ -172,8 +179,12 @@ class _RegionPlan:
             if region.matrix_op is not None
             else _dominant_vector_type(region)
         )
-        self.ops = [(op, is_matrix_op(op.op_type)) for op in region.ops]
-        self.matrix_ops = [op for op, is_matrix in self.ops if is_matrix]
+        self.matrix_ops = [op for op in region.ops if is_matrix_op(op.op_type)]
+        vector_ops = [op for op in region.ops if not is_matrix_op(op.op_type)]
+        work = [vector_op_work(op, tensors, factors) for op in vector_ops]
+        self.vector_names = [op.name for op in vector_ops]
+        self.vector_work = [effective for _, effective in work]
+        self.vector_flops = sum(flops for flops, _ in work)
         self.anchor = None
         if region.matrix_op is not None:
             for position, op in enumerate(self.matrix_ops):
@@ -278,8 +289,8 @@ def _dominant_vector_type(region: FusionRegion) -> OpType:
 class Simulator:
     """Evaluates workloads on a datapath configuration.
 
-    ``simulate`` times three stages once per call site — the batched mapper
-    call, each vector-op costing, and the fusion pass — and adds the
+    ``simulate`` times three stages — the batched mapper call, the vector
+    ops of each region, and the fusion pass — and adds the
     seconds to the process-wide counter store
     (:func:`repro.runtime.telemetry.get_counters`) as ``mapper_seconds``,
     ``vector_seconds`` and ``fusion_seconds``: the raw material for
@@ -293,8 +304,11 @@ class Simulator:
     ) -> None:
         self.config = config
         self.options = options or SimulationOptions()
-        self._core_config = self._derive_core_config(config)
-        self.hierarchy = MemoryHierarchy(self._core_config)
+        self._core_config = core = self._derive_core_config(config)
+        # Per-datapath constants of every region evaluation.
+        self._vpu_lanes = max(1, vpu_lanes_per_core(core))
+        self._onchip_without_gm = core.l1_total_bytes + core.l2_total_bytes
+        self.hierarchy = MemoryHierarchy(core)
         self.op_cache = None
         if self.options.op_cache_enabled:
             # Imported lazily: repro.runtime imports this module at package
@@ -388,9 +402,7 @@ class Simulator:
                         break
                     record, stats = self._copy_region_entry(entry)
                 else:
-                    record, stats = self._evaluate_region(
-                        compiled, region, dram_bpc, premapped
-                    )
+                    record, stats = self._evaluate_region(region, dram_bpc, premapped)
                     if region_cache is not None:
                         if record is None:
                             region_cache.put(region_keys[position], (None,))
@@ -472,7 +484,7 @@ class Simulator:
             factors.input_traffic_factor,
             factors.output_traffic_factor,
             factors.flops_factor,
-            core.l1_total_bytes + core.l2_total_bytes,
+            self._onchip_without_gm,
         )
 
     @staticmethod
@@ -486,12 +498,22 @@ class Simulator:
         """
         record, stats = entry
         return (
-            replace(
-                record,
+            RegionPerformance(
+                index=record.index,
+                name=record.name,
                 op_names=list(record.op_names),
-                op_busy_cycles=dict(record.op_busy_cycles),
-                fusion=FusionDecision(),
+                primary_op_type=record.primary_op_type,
+                flops=record.flops,
+                compute_cycles=record.compute_cycles,
+                vector_cycles=record.vector_cycles,
+                dram_input_bytes=record.dram_input_bytes,
+                dram_weight_bytes=record.dram_weight_bytes,
+                dram_output_bytes=record.dram_output_bytes,
+                pre_fusion_cycles=record.pre_fusion_cycles,
                 post_fusion_cycles=record.pre_fusion_cycles,
+                matrix_utilization=record.matrix_utilization,
+                fusion=FusionDecision(),
+                op_busy_cycles=dict(record.op_busy_cycles),
             ),
             stats,
         )
@@ -499,7 +521,6 @@ class Simulator:
     # ------------------------------------------------------------------
     def _evaluate_region(
         self,
-        compiled: CompiledModel,
         region: _RegionPlan,
         dram_bpc: float,
         premapped: Dict[str, OpCost],
@@ -507,49 +528,33 @@ class Simulator:
         """Cost one fusion region; returns (RegionPerformance, RegionStats).
 
         ``premapped`` carries the scatter half of the gather -> batch-map ->
-        scatter pipeline: the costs of every matrix op in the region.
+        scatter pipeline: the costs of every matrix op in the region.  Each
+        vector op costs its planned VPU work over the core's VPU lanes.
         """
-        graph = compiled.graph
-        tensors = graph.tensors
-        core = self._core_config
-
+        # Keys in region order; matrix and then vector ops fill in the values.
+        op_busy_cycles: Dict[str, float] = dict.fromkeys(region.op_names)
         matrix_costs: List[OpCost] = []
-        vector_costs: List[OpCost] = []
-        op_busy_cycles: Dict[str, float] = {}
-        op_cache = self.op_cache
-        vector_seconds = 0.0
-        for op, is_matrix in region.ops:
-            if is_matrix:
-                cost = premapped[op.name]
-                if cost.schedule_failed:
-                    _counters().add("vector_seconds", vector_seconds)
-                    return None, None
-                matrix_costs.append(cost)
-                op_busy_cycles[op.name] = cost.compute_cycles
-            else:
-                started = time.perf_counter()
-                cost = None
-                if op_cache is not None:
-                    vector_key = vector_cost_cache_key(
-                        graph, op, core, compiled.softmax_factors
-                    )
-                    cost = op_cache.get(vector_key)
-                if cost is None:
-                    cost = vector_op_cost(op, tensors, core, compiled.softmax_factors)
-                    if op_cache is not None:
-                        op_cache.put(vector_key, cost)
-                vector_seconds += time.perf_counter() - started
-                vector_costs.append(cost)
-                op_busy_cycles[op.name] = cost.vector_cycles
-        _counters().add("vector_seconds", vector_seconds)
+        for op in region.matrix_ops:
+            cost = premapped[op.name]
+            if cost.schedule_failed:
+                return None, None
+            matrix_costs.append(cost)
+            op_busy_cycles[op.name] = cost.compute_cycles
+        vector_cycles = 0  # sum() over no vector ops
+        if region.vector_work:
+            started = time.perf_counter()
+            lanes = self._vpu_lanes
+            cycles = [work / lanes for work in region.vector_work]
+            op_busy_cycles.update(zip(region.vector_names, cycles))
+            vector_cycles = sum(cycles)
+            _counters().add("vector_seconds", time.perf_counter() - started)
         if region.anchor is not None:
             anchor_cost: Optional[OpCost] = matrix_costs[region.anchor]
         else:
             anchor_cost = matrix_costs[0] if matrix_costs else None
 
         compute_cycles = sum(c.compute_cycles for c in matrix_costs)
-        vector_cycles = sum(c.vector_cycles for c in vector_costs)
-        flops = sum(c.flops for c in matrix_costs) + sum(c.flops for c in vector_costs)
+        flops = sum(c.flops for c in matrix_costs) + region.vector_flops
 
         # --- DRAM traffic attribution -----------------------------------
         # Each matrix op's mapping may re-read its operands (traffic
@@ -610,8 +615,9 @@ class Simulator:
         # --- Fusion statistics -------------------------------------------
         blocking_gm = 0
         if anchor_cost is not None and anchor_cost.tiling is not None:
-            onchip_without_gm = core.l1_total_bytes + core.l2_total_bytes
-            blocking_gm = max(0, anchor_cost.tiling.buffer_bytes(2) - onchip_without_gm)
+            blocking_gm = max(
+                0, anchor_cost.tiling.buffer_bytes(2) - self._onchip_without_gm
+            )
 
         stats = RegionStats(
             index=region.index,

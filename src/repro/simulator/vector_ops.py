@@ -10,15 +10,15 @@ traffic multiplier (three-pass vs two-pass, Section 5.6).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.compiler.softmax import SoftmaxCostFactors, THREE_PASS_SOFTMAX
 from repro.hardware.datapath import DatapathConfig
 from repro.mapping.costmodel import OpCost
-from repro.workloads.graph import Graph, Operation, Tensor, TensorKind
+from repro.workloads.graph import Operation, Tensor, TensorKind
 from repro.workloads.ops import OpType, op_flops
 
-__all__ = ["vector_op_cost", "vector_cost_cache_key", "vpu_lanes_per_core"]
+__all__ = ["vector_op_cost", "vector_op_work", "vpu_lanes_per_core"]
 
 # Ops that are pure metadata transforms and move no data at execution time.
 _ZERO_COST_TYPES = {OpType.RESHAPE, OpType.SLICE}
@@ -29,28 +29,25 @@ def vpu_lanes_per_core(config: DatapathConfig) -> int:
     return config.num_pes * config.vpu_lanes_per_pe
 
 
-def vector_cost_cache_key(
-    graph: Graph,
+def vector_op_work(
     op: Operation,
-    config: DatapathConfig,
-    softmax_factors: SoftmaxCostFactors,
-) -> tuple:
-    """Cross-trial cache key for :func:`vector_op_cost`.
+    tensors: Dict[str, Tensor],
+    softmax_factors: SoftmaxCostFactors = THREE_PASS_SOFTMAX,
+) -> Tuple[int, float]:
+    """A vector op's ``(flops, effective_flops)``, independent of the datapath.
 
-    A vector op's cost is a pure function of the op structure (captured by
-    the graph's content fingerprint plus the op name), the core's VPU lane
-    count, and the softmax lowering factors — everything else about the
-    datapath is irrelevant to the VPU model.
+    ``flops`` is the op's useful FLOP count; ``effective_flops`` is the lane
+    operations it issues on the VPU (softmax scaled by its lowering), so its
+    VPU time on a core is ``effective_flops / lanes``.  Metadata transforms
+    do no work.
     """
-    return (
-        "vector",
-        graph.fingerprint(),
-        op.name,
-        vpu_lanes_per_core(config),
-        softmax_factors.input_traffic_factor,
-        softmax_factors.output_traffic_factor,
-        softmax_factors.flops_factor,
-    )
+    if op.op_type in _ZERO_COST_TYPES:
+        return 0, 0.0
+    flops = op_flops(op, tensors)
+    effective_flops = float(flops)
+    if op.op_type is OpType.SOFTMAX:
+        effective_flops *= softmax_factors.flops_factor
+    return flops, effective_flops
 
 
 def vector_op_cost(
@@ -65,8 +62,9 @@ def vector_op_cost(
     read from and outputs written to DRAM); the simulator only charges the
     fraction of that traffic crossing a fusion-region boundary.
     """
-    flops = op_flops(op, tensors)
-    effective_flops = float(flops)
+    if op.op_type in _ZERO_COST_TYPES:
+        return OpCost(op_name=op.name, op_type=op.op_type)
+    flops, effective_flops = vector_op_work(op, tensors, softmax_factors)
 
     input_bytes = sum(
         tensors[name].size_bytes
@@ -80,18 +78,9 @@ def vector_op_cost(
     )
     output_bytes = sum(tensors[name].size_bytes for name in op.outputs)
 
-    if op.op_type in _ZERO_COST_TYPES:
-        return OpCost(
-            op_name=op.name,
-            op_type=op.op_type,
-            flops=0,
-            padded_flops=0,
-        )
-
     if op.op_type is OpType.SOFTMAX:
         input_bytes *= softmax_factors.input_traffic_factor
         output_bytes *= softmax_factors.output_traffic_factor
-        effective_flops *= softmax_factors.flops_factor
     elif op.op_type is OpType.LAYERNORM:
         # Mean/variance pass plus normalization pass: input read twice.
         input_bytes *= 2.0

@@ -15,6 +15,10 @@ Three contracts:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.core.fast import FASTSearch
@@ -24,6 +28,7 @@ from repro.hardware.datapath import BufferConfig, DatapathConfig
 from repro.hardware.search_space import DatapathSearchSpace
 from repro.mapping.mapper import Mapper, MapperOptions
 from repro.reporting.serialization import (
+    params_to_jsonable,
     simulation_options_from_dict,
     simulation_options_to_dict,
     trial_metrics_to_dict,
@@ -32,7 +37,7 @@ from repro.runtime import ParallelExecutor
 from repro.runtime.cache import problem_fingerprint
 from repro.runtime.opcache import OpCostCache, reset_op_caches
 from repro.runtime.telemetry import get_counters
-from repro.simulator.engine import SimulationOptions
+from repro.simulator.engine import SimulationOptions, clear_compiled_cache
 from repro.simulator.enginespec import DEFAULT_ENGINE, MAPPER_MODES, EngineSpec
 from repro.workloads.registry import available_workloads
 
@@ -288,6 +293,41 @@ class TestCacheKeysPinned:
             ("weight_stationary", "output_stationary"), 48, 0.2,
         )
         assert Mapper(config, op_cache=OpCostCache()).mapping_config_key() == expected
+
+
+def _canonical(value):
+    """JSON-ready form of a metrics value with every float as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {str(k): _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    return value
+
+
+class TestHistoryDigestPinned:
+    """A literal digest of one cold search, computed before region plans
+    took over vector-op costing.
+
+    Every optimisation of the trial path must leave histories bit for bit
+    unchanged; this pins that for a real search, not only for engine pairs
+    that could drift together.
+    """
+
+    def test_cold_b0_lcs_search(self):
+        clear_compiled_cache()
+        problem = SearchProblem(["efficientnet-b0"], ObjectiveKind.PERF_PER_TDP)
+        result = FASTSearch(problem, optimizer="lcs", seed=11).run(40, batch_size=8)
+        rows = [
+            [params_to_jsonable(params), _canonical(dataclasses.asdict(metrics))]
+            for params, metrics in zip(result.proposals, result.history)
+        ]
+        encoded = json.dumps(rows, sort_keys=True, default=str).encode()
+        assert hashlib.sha256(encoded).hexdigest() == PINNED_B0_DIGEST
+
+
+PINNED_B0_DIGEST = "40a1433e1c4ed3b22e8f26e0bb1963916b82997d87980407cf88c8adbea6d3de"
 
 
 # ---------------------------------------------------------------------------

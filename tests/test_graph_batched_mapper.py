@@ -8,6 +8,8 @@ costs, identical simulation results, and identical search histories.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,10 @@ class TestGraphBatchedSimulator:
         warm = _simulate(efficientnet_b0, config)
         assert _result_signature(cold) == _result_signature(without)
         assert _result_signature(warm) == _result_signature(without)
+        # Records served by the cache are copies that carry every field.
+        assert [dataclasses.asdict(r) for r in warm.regions] == [
+            dataclasses.asdict(r) for r in without.regions
+        ]
         cache = get_region_cache()
         assert cache.stats.hits > 0
 

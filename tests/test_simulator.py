@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.compiler.passes import compile_graph
 from repro.compiler.softmax import THREE_PASS_SOFTMAX, TWO_PASS_SOFTMAX
 from repro.hardware.datapath import DatapathConfig
+from repro.mapping.loopnest import extract_problem
+from repro.runtime.opcache import OpCostCache, reset_op_caches
 from repro.simulator.engine import SimulationOptions, Simulator
 from repro.simulator.roofline import attainable_flops, roofline_point
-from repro.simulator.vector_ops import vector_op_cost, vpu_lanes_per_core
+from repro.simulator.vector_ops import vector_op_cost, vector_op_work, vpu_lanes_per_core
 from repro.workloads.builder import GraphBuilder
-from repro.workloads.ops import OpType
+from repro.workloads.ops import OpType, is_matrix_op
+from repro.workloads.registry import available_workloads, build_workload
 
 
 class TestVectorOpCosts:
@@ -298,3 +302,92 @@ class TestRegionPlan:
         history = lambda r: [trial_metrics_to_dict(m) for m in r.history]  # noqa: E731
         assert history(parallel) == history(serial)
         assert not log.exists(), log.read_text()
+
+
+def _exact(value):
+    """A number's type and bits: ``0`` and ``0.0`` differ, as do close floats."""
+    return type(value).__name__, float(value).hex()
+
+
+class TestVectorCostsFromPlan:
+    """Region vector costs equal :func:`vector_op_cost`, the per-op model.
+
+    Every engine evaluates vector ops from the region plan, so the reference
+    here is the standalone cost function applied op by op over the compiled
+    regions, summed in region order.
+    """
+
+    @pytest.mark.parametrize("two_pass", [False, True])
+    @pytest.mark.parametrize("workload", sorted(available_workloads()))
+    def test_region_vector_costs_match_vector_op_cost(self, workload, two_pass):
+        graph = build_workload(workload, batch_size=1)
+        compiled = compile_graph(graph, use_two_pass_softmax=two_pass)
+        for multiplier in (1, 4, 16):
+            config = DatapathConfig(
+                vector_unit_multiplier=multiplier, use_two_pass_softmax=two_pass
+            )
+            simulator = Simulator(
+                config, SimulationOptions(fusion_solver="greedy", region_cache_enabled=False)
+            )
+            result = simulator.simulate(graph)
+            assert not result.schedule_failed
+            assert len(result.regions) == len(compiled.regions)
+            for record, region in zip(result.regions, compiled.regions):
+                vector = [
+                    vector_op_cost(op, graph.tensors, config, compiled.softmax_factors)
+                    for op in region.ops
+                    if not is_matrix_op(op.op_type)
+                ]
+                matrix = [
+                    simulator.mapper.map_op(op, graph.tensors)
+                    for op in region.ops
+                    if is_matrix_op(op.op_type)
+                ]
+                context = (workload, two_pass, multiplier, region.name)
+                assert _exact(record.vector_cycles) == _exact(
+                    sum(c.vector_cycles for c in vector)
+                ), context
+                assert _exact(record.flops) == _exact(
+                    sum(c.flops for c in matrix) + sum(c.flops for c in vector)
+                ), context
+                assert list(record.op_busy_cycles) == [op.name for op in region.ops]
+                for cost in vector:
+                    assert _exact(record.op_busy_cycles[cost.op_name]) == _exact(
+                        cost.vector_cycles
+                    ), context
+
+    def test_vector_op_work_matches_vector_op_cost(self, bert_seq128, small_config):
+        lanes = vpu_lanes_per_core(small_config)
+        for factors in (THREE_PASS_SOFTMAX, TWO_PASS_SOFTMAX):
+            for op in bert_seq128.ops:
+                if is_matrix_op(op.op_type):
+                    continue
+                cost = vector_op_cost(op, bert_seq128.tensors, small_config, factors)
+                flops, effective = vector_op_work(op, bert_seq128.tensors, factors)
+                assert flops == cost.flops and int(effective) == cost.padded_flops
+                assert _exact(effective / lanes) == _exact(cost.vector_cycles)
+
+
+class TestVectorOpsBypassOpCache:
+    def test_cold_simulate_looks_up_matrix_ops_only(self, monkeypatch, efficientnet_b0):
+        reset_op_caches()
+        looked_up = []
+        original_get = OpCostCache.get
+
+        def spy(cache, key):
+            looked_up.append(key)
+            return original_get(cache, key)
+
+        monkeypatch.setattr(OpCostCache, "get", spy)
+        simulator = Simulator(DatapathConfig(), SimulationOptions(fusion_solver="greedy"))
+        simulator.simulate(efficientnet_b0)
+        op_cache = simulator.op_cache
+        config_key = simulator.mapper.mapping_config_key()
+        problems = {
+            simulator.mapper._problem_key(extract_problem(op, efficientnet_b0.tensors))
+            for op in efficientnet_b0.ops
+            if is_matrix_op(op.op_type)
+        }
+        assert sorted(looked_up) == sorted((config_key, p) for p in problems)
+        assert op_cache.stats.hits + op_cache.stats.misses == len(problems)
+        assert set(op_cache._memory) == set(looked_up)
