@@ -237,6 +237,9 @@ for line in body.splitlines():
     assert name_part, line
     float(value)  # every sample value must parse
     samples += 1
+for family in ("repro_service_request_seconds_bucket{", "repro_cache_lookups{",
+               "repro_worker_restarts_total "):
+    assert any(line.startswith(family) for line in body.splitlines()), (family, body)
 print("valid Prometheus exposition:", samples, "samples")
 PY
 

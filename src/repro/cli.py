@@ -214,9 +214,9 @@ explain, and the slowest individual spans::
 
 ``repro serve`` exposes Prometheus text metrics at ``GET /metrics``
 (per-route request counters and latency histograms, uptime, worker / trial
-/ cache gauges) next to ``GET /health`` (which reports uptime and
-per-route request counts); ``repro serve --verbose`` turns on per-request
-access logging.
+/ cache gauges, worker-pool restarts), rendered at scrape time from the
+same counts as ``GET /health`` (which reports uptime and per-route request
+counts); ``repro serve --verbose`` turns on per-request access logging.
 
 Fault tolerance
 ---------------

@@ -27,11 +27,11 @@ engine, layered as:
 * :mod:`repro.runtime.sharding` — sharded sweep orchestration: split one
   search into N shards (seed stream or design-space partition) and merge
   their Pareto fronts, histories, and stats into one deduplicated result,
-* :mod:`repro.runtime.telemetry` — dependency-free span tracer, metrics
-  registry and counter store: end-to-end spans across search → executor →
-  worker → remote service, Chrome-trace / JSONL export (``repro search
-  --trace``, ``repro trace``), Prometheus text exposition (``GET
-  /metrics``), and the one process-wide store of run counts and stage
+* :mod:`repro.runtime.telemetry` — dependency-free span tracer, counter
+  store and Prometheus text renderer: end-to-end spans across search →
+  executor → worker → remote service, Chrome-trace / JSONL export
+  (``repro search --trace``, ``repro trace``), Prometheus text exposition
+  (``GET /metrics``), and the one process-wide store of run counts and stage
   seconds whose delta over a search is its ``RuntimeStats`` — pool
   workers ship their task deltas home and the parent merges them,
 * :mod:`repro.runtime.faults` — seeded deterministic fault injection
@@ -108,18 +108,15 @@ from repro.runtime.profiling import (
     summarize_trace,
 )
 from repro.runtime.progress import ProgressBus, ProgressPrinter, SearchEvent
-from repro.runtime.service import EvaluationService, ServiceStats, serve
+from repro.runtime.service import EvaluationService, serve
 from repro.runtime.telemetry import (
-    MetricsRegistry,
     SpanRecord,
     Tracer,
     apply_telemetry_config,
     chrome_trace_events,
     configure_tracer,
-    get_metrics,
     get_tracer,
     load_trace,
-    reset_metrics,
     set_tracer,
     telemetry_config,
     write_chrome_trace,
@@ -151,7 +148,6 @@ __all__ = [
     "FaultPlan",
     "FaultPoint",
     "KNOWN_FAULT_POINTS",
-    "MetricsRegistry",
     "SpanRecord",
     "Tracer",
     "ExchangeClient",
@@ -174,7 +170,6 @@ __all__ = [
     "SearchEvent",
     "SerialExecutor",
     "ServiceScoreboard",
-    "ServiceStats",
     "ShardResult",
     "ShardSpec",
     "StageStat",
@@ -192,7 +187,6 @@ __all__ = [
     "configure_tracer",
     "executor_kinds",
     "get_fault_plan",
-    "get_metrics",
     "get_tracer",
     "load_trace",
     "get_op_cache",
@@ -207,7 +201,6 @@ __all__ = [
     "profile_search",
     "proposal_key",
     "register_executor",
-    "reset_metrics",
     "reset_op_caches",
     "reset_region_caches",
     "run_shard",

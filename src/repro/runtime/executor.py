@@ -40,7 +40,6 @@ from repro.runtime.faults import crash_process, get_fault_plan
 from repro.runtime.telemetry import (
     apply_telemetry_config,
     get_counters,
-    get_metrics,
     get_tracer,
     telemetry_config,
 )
@@ -272,10 +271,6 @@ class ParallelExecutor(TrialExecutor):
                 self.worker_restarts += 1
                 get_counters().add("worker_restarts")
                 restarts += 1
-                get_metrics().counter(
-                    "repro_worker_restarts_total",
-                    "Process-pool rebuilds after a worker died mid-batch.",
-                ).inc()
                 get_tracer().record_span(
                     "worker_restart",
                     start_unix=time.time(),

@@ -47,7 +47,7 @@ from repro.mapping.costmodel import OpCost
 from repro.mapping.dataflow import Dataflow
 from repro.mapping.tiling import Tiling
 from repro.runtime.telemetry import get_counters
-from repro.workloads.ops import OpType
+from repro.workloads.ops import OpType, is_matrix_op
 
 __all__ = [
     "OpCacheStats",
@@ -208,12 +208,18 @@ class OpCostCache:
                     continue
                 try:
                     record = json.loads(line)
-                    self._disk_index[record["key"]] = record["cost"]
-                except (json.JSONDecodeError, KeyError, TypeError):
+                    digest, cost = record["key"], record["cost"]
+                    matrix = is_matrix_op(OpType(cost["op_type"]))
+                except (KeyError, TypeError, ValueError):  # ValueError: bad JSON too
                     # Quarantine the torn line a killed run left behind:
                     # count it, keep loading, let compaction drop it.
                     self.stats.corrupt_records += 1
                     continue
+                # Vector-op records (stores written while vector costs were
+                # cached) are never looked up: skip them, so len() leaves
+                # them out and compact() drops them.
+                if matrix:
+                    self._disk_index[digest] = cost
         self.stats.disk_entries_loaded = len(self._disk_index)
 
     @staticmethod

@@ -69,7 +69,6 @@ from repro.runtime.telemetry import (
     NULL_SPAN,
     TRACE_CONTEXT_HEADER,
     get_counters,
-    get_metrics,
     get_tracer,
 )
 
@@ -213,12 +212,6 @@ class AsyncRemoteExecutor(TrialExecutor):
             endpoint.count("timeouts")
         endpoint.consecutive_failures += 1
         if endpoint.consecutive_failures >= self.blacklist_after:
-            if not endpoint.blacklisted:
-                get_metrics().counter(
-                    "repro_remote_blacklists_total",
-                    "Endpoint transitions into the blacklist.",
-                    ("endpoint",),
-                ).inc(endpoint=endpoint.url)
             endpoint.set_blacklisted(True)
 
     def _record_success(self, endpoint: EndpointState, latency: float) -> None:
@@ -301,11 +294,6 @@ class AsyncRemoteExecutor(TrialExecutor):
         finally:
             span.set_attr("status", status)
             tracer.finish(span)
-            get_metrics().counter(
-                "repro_remote_requests_total",
-                "Remote evaluate requests by endpoint and outcome.",
-                ("endpoint", "status"),
-            ).inc(endpoint=endpoint.url, status=status)
 
     # ------------------------------------------------------------------
     # Async orchestration
@@ -554,10 +542,6 @@ class AsyncRemoteExecutor(TrialExecutor):
         ``remote_fallbacks`` counter, never in the history.
         """
         get_counters().add("remote_fallbacks")
-        get_metrics().counter(
-            "repro_remote_fallbacks_total",
-            "Batches evaluated by the local fallback after remote failure.",
-        ).inc()
         with get_tracer().span(
             "remote_fallback",
             category="remote",

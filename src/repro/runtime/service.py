@@ -24,9 +24,12 @@ Wire protocol (all bodies are JSON):
   records and GET the per-shard best map back.
 * ``GET /health`` — liveness plus request/trial counters, uptime, and
   per-route request counts.
-* ``GET /metrics`` — Prometheus text exposition of the service's
-  request/trial/cache/evaluation metrics (see
-  :mod:`repro.runtime.telemetry`), ready for scraping.
+* ``GET /metrics`` — Prometheus text exposition, ready for scraping.  It
+  is rendered at scrape time from two counter stores (see
+  :mod:`repro.runtime.telemetry`): the service's own request, batch, trial,
+  error and fingerprint-rejection counts plus per-route latency buckets,
+  and the process store's cost-cache lookups (pool workers included) and
+  worker-pool restarts.
 
 Any other route answers HTTP 404.  Cost caches are process-local to the
 service (see :mod:`repro.runtime.opcache`); ``repro serve --op-cache PATH``
@@ -54,11 +57,11 @@ parallelizes *within* a batch via the process-pool executor).
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import threading
 import time
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
@@ -74,28 +77,20 @@ from repro.runtime.cache import problem_fingerprint
 from repro.runtime.exchange import ScoreRecord
 from repro.runtime.executor import TrialExecutor, make_executor
 from repro.runtime.telemetry import (
+    DEFAULT_BUCKETS,
     TRACE_CONTEXT_HEADER,
-    MetricsRegistry,
+    CounterStore,
+    MetricFamily,
     Tracer,
     get_counters,
+    render_exposition,
 )
 
-__all__ = ["ServiceStats", "EvaluationService", "serve"]
+__all__ = ["EvaluationService", "serve"]
 
 # Access logs and handler diagnostics.  DEBUG by default so tests and smoke
 # runs stay quiet; ``repro serve --verbose`` raises the level to show them.
 logger = logging.getLogger("repro.runtime.service")
-
-
-@dataclass
-class ServiceStats:
-    """Counters one service accumulates over its lifetime."""
-
-    requests: int = 0
-    batches: int = 0
-    trials_evaluated: int = 0
-    fingerprint_rejections: int = 0
-    errors: int = 0
 
 
 def space_from_payload(payload: object) -> DatapathSearchSpace:
@@ -166,12 +161,14 @@ class EvaluationService:
             from repro.runtime.opcache import get_op_cache
 
             get_op_cache(self.simulation_overrides["op_cache_path"])
-        self.stats = ServiceStats()
         self.started_at = time.time()
-        # Per-service registry/tracer (not the process globals): tests run
-        # several services in one process and each should report only its
-        # own traffic.
-        self.metrics = MetricsRegistry()
+        # Per-service counter store and tracer (not the process globals):
+        # tests run several services in one process and each should report
+        # only its own traffic.  Counts: ``requests``, ``batches``,
+        # ``trials_evaluated``, ``errors``, ``fingerprint_rejections``, and
+        # per request ``by_route`` → route → method → status and
+        # ``latency`` → route → ``sum`` / ``count`` / ``buckets`` → index.
+        self.counters = CounterStore()
         self.tracer = Tracer(enabled=True, capacity=8192)
         self._evaluators: Dict[str, Tuple[TrialEvaluator, DatapathSearchSpace]] = {}
         self._executor: Optional[TrialExecutor] = None
@@ -266,11 +263,11 @@ class EvaluationService:
         try:
             fingerprint, evaluator, space = self._evaluator_for(payload)
         except (KeyError, TypeError, ValueError) as error:
-            self.stats.errors += 1
+            self.counters.add("errors")
             return 400, {"error": f"malformed evaluate request: {error}"}
         claimed = payload.get("fingerprint")
         if claimed is not None and claimed != fingerprint:
-            self.stats.fingerprint_rejections += 1
+            self.counters.add("fingerprint_rejections")
             return 409, {
                 "error": "problem fingerprint mismatch",
                 "client_fingerprint": claimed,
@@ -281,14 +278,14 @@ class EvaluationService:
                 params_from_jsonable(raw, space) for raw in payload.get("params", [])
             ]
         except (KeyError, TypeError, ValueError) as error:
-            self.stats.errors += 1
+            self.counters.add("errors")
             return 400, {"error": f"malformed params: {error}"}
         with self._eval_lock:
             if self._executor is None:
                 self._executor = make_executor(self.workers)
             metrics = self._executor.evaluate_batch(evaluator, space, batch)
-        self.stats.batches += 1
-        self.stats.trials_evaluated += len(metrics)
+        self.counters.add("batches")
+        self.counters.add("trials_evaluated", len(metrics))
         return 200, {
             "fingerprint": fingerprint,
             "results": [trial_metrics_to_dict(m) for m in metrics],
@@ -320,79 +317,121 @@ class EvaluationService:
     def observe_request(
         self, route: str, method: str, status: int, elapsed: float
     ) -> None:
-        """Fold one handled request into the service metrics."""
-        self.metrics.counter(
-            "repro_service_requests_total",
-            "HTTP requests handled, by route, method, and status.",
-            ("route", "method", "status"),
-        ).inc(route=route, method=method, status=str(status))
-        self.metrics.histogram(
-            "repro_service_request_seconds",
-            "Request handling latency in seconds.",
-            ("route",),
-        ).observe(elapsed, route=route)
+        """Count one handled request and its latency under its route.
 
-    def requests_by_route(self) -> Dict[str, int]:
-        """Total handled requests per route (for ``/health``)."""
-        totals: Dict[str, int] = {}
-        counter = self.metrics.get("repro_service_requests_total")
-        if counter is not None:
-            for key, value in counter.samples().items():
-                route = key[0]
-                totals[route] = totals.get(route, 0) + int(value)
-        return totals
+        One merge, so a scrape never sees the request count without its
+        latency observation.
+        """
+        bucket = bisect.bisect_left(DEFAULT_BUCKETS, elapsed)
+        self.counters.merge({
+            "by_route": {route: {method: {str(status): 1}}},
+            "latency": {route: {"sum": elapsed, "count": 1, "buckets": {bucket: 1}}},
+        })
 
     def metrics_exposition(self) -> str:
         """The ``GET /metrics`` body: Prometheus text exposition.
 
-        Request counters/latency accumulate as requests are handled; the
-        uptime / lifetime / cache gauges are refreshed at scrape time.
+        Rendered from one snapshot of the service's counter store and one
+        of the process store, taken at scrape time.
         """
-        gauge = self.metrics.gauge
-        gauge("repro_service_uptime_seconds", "Seconds since service start.").set(
-            time.time() - self.started_at
-        )
-        gauge("repro_service_workers", "Configured evaluation workers.").set(
-            self.workers
-        )
-        gauge(
-            "repro_service_trials_evaluated", "Trials evaluated since start."
-        ).set(self.stats.trials_evaluated)
-        gauge("repro_service_batches", "Evaluate batches since start.").set(
-            self.stats.batches
-        )
-        gauge("repro_service_errors", "Request handling errors since start.").set(
-            self.stats.errors
-        )
-        gauge(
-            "repro_service_fingerprint_rejections",
-            "Evaluate requests refused on fingerprint mismatch.",
-        ).set(self.stats.fingerprint_rejections)
-        counts = get_counters().snapshot()
-        cache = self.metrics.gauge(
-            "repro_cache_lookups",
-            "Cost-cache lookups by this process and its pool workers, by "
-            "cache and outcome.",
-            ("cache", "outcome"),
-        )
-        cache.set(counts.get("op_cache_hits", 0), cache="op", outcome="hit")
-        cache.set(counts.get("op_cache_misses", 0), cache="op", outcome="miss")
-        cache.set(counts.get("region_cache_hits", 0), cache="region", outcome="hit")
-        cache.set(counts.get("region_cache_misses", 0), cache="region", outcome="miss")
-        return self.metrics.expose()
+        counts = self.counters.snapshot()
+        process = get_counters().snapshot()
+
+        def gauge(name: str, help_text: str, value: float) -> MetricFamily:
+            return MetricFamily(name, "gauge", help_text, (), {(): value})
+
+        requests = {
+            (route, method, status): n
+            for route, by_method in counts.get("by_route", {}).items()
+            for method, by_status in by_method.items()
+            for status, n in by_status.items()
+        }
+        latency = {
+            (route,): (seconds["buckets"], seconds["sum"], seconds["count"])
+            for route, seconds in counts.get("latency", {}).items()
+        }
+        lookups = {
+            (cache, outcome): process.get(f"{cache}_cache_{key}", 0)
+            for cache in ("op", "region")
+            for outcome, key in (("hit", "hits"), ("miss", "misses"))
+        }
+        return render_exposition([
+            MetricFamily(
+                "repro_service_requests_total",
+                "counter",
+                "HTTP requests handled, by route, method, and status.",
+                ("route", "method", "status"),
+                requests,
+            ),
+            MetricFamily(
+                "repro_service_request_seconds",
+                "histogram",
+                "Request handling latency in seconds.",
+                ("route",),
+                latency,
+            ),
+            gauge(
+                "repro_service_uptime_seconds",
+                "Seconds since service start.",
+                time.time() - self.started_at,
+            ),
+            gauge(
+                "repro_service_workers", "Configured evaluation workers.", self.workers
+            ),
+            gauge(
+                "repro_service_trials_evaluated",
+                "Trials evaluated since start.",
+                counts.get("trials_evaluated", 0),
+            ),
+            gauge(
+                "repro_service_batches",
+                "Evaluate batches since start.",
+                counts.get("batches", 0),
+            ),
+            gauge(
+                "repro_service_errors",
+                "Request handling errors since start.",
+                counts.get("errors", 0),
+            ),
+            gauge(
+                "repro_service_fingerprint_rejections",
+                "Evaluate requests refused on fingerprint mismatch.",
+                counts.get("fingerprint_rejections", 0),
+            ),
+            MetricFamily(
+                "repro_cache_lookups",
+                "gauge",
+                "Cost-cache lookups by this process and its pool workers, by "
+                "cache and outcome.",
+                ("cache", "outcome"),
+                lookups,
+            ),
+            MetricFamily(
+                "repro_worker_restarts_total",
+                "counter",
+                "Process-pool rebuilds after a worker died mid-batch.",
+                (),
+                {(): process.get("worker_restarts", 0)},
+            ),
+        ])
 
     def health_snapshot(self) -> dict:
         """The ``GET /health`` body."""
+        counts = self.counters.snapshot()
+        requests_by_route = {
+            route: sum(sum(by_status.values()) for by_status in by_method.values())
+            for route, by_method in counts.get("by_route", {}).items()
+        }
         return {
             "status": "ok",
             "workers": self.workers,
             "uptime_seconds": round(time.time() - self.started_at, 3),
-            "requests": self.stats.requests,
-            "requests_by_route": self.requests_by_route(),
-            "batches": self.stats.batches,
-            "trials_evaluated": self.stats.trials_evaluated,
-            "fingerprint_rejections": self.stats.fingerprint_rejections,
-            "errors": self.stats.errors,
+            "requests": counts.get("requests", 0),
+            "requests_by_route": requests_by_route,
+            "batches": counts.get("batches", 0),
+            "trials_evaluated": counts.get("trials_evaluated", 0),
+            "fingerprint_rejections": counts.get("fingerprint_rejections", 0),
+            "errors": counts.get("errors", 0),
             "known_fingerprints": sorted(self._evaluators),
         }
 
@@ -477,7 +516,7 @@ def _make_handler(service: EvaluationService):
             self._handle("PUT")
 
         def _handle(self, method: str) -> None:
-            service.stats.requests += 1
+            service.counters.add("requests")
             route = self.path
             trace_header = self.headers.get(TRACE_CONTEXT_HEADER)
             span = service.tracer.start(
@@ -518,7 +557,7 @@ def _make_handler(service: EvaluationService):
                 try:
                     status, body = service.evaluate_payload(payload)
                 except Exception as error:  # defensive: never kill the thread
-                    service.stats.errors += 1
+                    service.counters.add("errors")
                     status, body = 500, {"error": f"evaluation failed: {error}"}
                 if trace_header and span.record is not None:
                     # The client is tracing: close the request span now (the

@@ -1,11 +1,11 @@
 """Tracing and metrics telemetry for the search runtime.
 
 This module is the observability substrate every other runtime layer reports
-through: a dependency-free span tracer plus a Prometheus-style metrics
-registry.  It deliberately imports nothing from the rest of the package (and
-nothing beyond the stdlib), so any module — the simulator's inner loop, the
-executor workers, the HTTP service — can instrument itself without creating
-import cycles.
+through: a dependency-free span tracer, the process-wide counter store, and
+a Prometheus text renderer.  It deliberately imports nothing from the rest
+of the package (and nothing beyond the stdlib), so any module — the
+simulator's inner loop, the executor workers, the HTTP service — can
+instrument itself without creating import cycles.
 
 Tracing
 -------
@@ -40,28 +40,26 @@ output loads directly into ``about://tracing`` / Perfetto.
 
 Metrics
 -------
-:class:`MetricsRegistry` holds counters, gauges, and histograms with label
-support and renders them in the Prometheus text exposition format
-(``expose()``), which is what ``repro serve`` returns from ``GET /metrics``.
-Metrics are get-or-create by name, so call sites never need module-level
-handles::
-
-    get_metrics().counter(
-        "repro_remote_requests_total", "Remote requests.", ("endpoint", "status")
-    ).inc(endpoint=url, status="ok")
+:func:`render_exposition` turns :class:`MetricFamily` values — name, kind,
+help, label names and label-tuple → value samples, plus non-cumulative
+bucket counts, sum and count for a histogram — into the Prometheus text
+exposition format.  It holds no state: ``repro serve`` builds the families
+of ``GET /metrics`` from counter-store snapshots at scrape time (see
+:mod:`repro.runtime.service`).
 
 Counters
 --------
 :class:`CounterStore` is the one process-wide store of run counts and stage
-seconds that :class:`~repro.core.fast.RuntimeStats` is built from.  Values
-live in a nested dict keyed like ``RuntimeStats`` fields (per-endpoint
-counts under ``endpoint_stats`` → URL), and three operations cover every
-report:
+seconds that :class:`~repro.core.fast.RuntimeStats` and the service's
+``/metrics`` are built from.  Values live in a nested dict keyed like
+``RuntimeStats`` fields (per-endpoint counts under ``endpoint_stats`` →
+URL), and three operations cover every report:
 
 * ``add(key, amount)`` accumulates: each timed stage site (``batch_map``,
-  ``fusion``, per-vector-op and ``evaluate``) adds its seconds once per
-  call, the remote executor adds its request / retry / hedge / failure /
-  fallback and per-endpoint counts, the process pool its restarts.
+  ``fusion``, the vector ops of each region that has any, and
+  ``evaluate``) adds its seconds once per call, the remote executor adds
+  its request / retry / hedge / failure / fallback and per-endpoint counts,
+  the process pool its restarts.
 * ``snapshot()`` then ``delta(before)`` read what happened over a run.  A
   snapshot also folds in the registered ``sources`` — the op and region
   cost caches report their hit / miss / disk-hit counters that way, so the
@@ -75,6 +73,9 @@ and each endpoint's ``blacklisted`` flag.  A delta carries their current
 value and a merge keeps the latest non-empty ``engine`` and the larger
 ``blacklisted``.  Counts that did not move are left out of a delta, and so
 are endpoints none of whose counts moved.
+
+An :class:`~repro.runtime.service.EvaluationService` keeps a private store
+of its own request counts beside this process-wide one.
 """
 
 from __future__ import annotations
@@ -88,7 +89,18 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 __all__ = [
     "TRACE_CONTEXT_HEADER",
@@ -106,12 +118,8 @@ __all__ = [
     "configure_tracer",
     "telemetry_config",
     "apply_telemetry_config",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_metrics",
-    "reset_metrics",
+    "MetricFamily",
+    "render_exposition",
     "CounterStore",
     "get_counters",
     "merge_counts",
@@ -721,216 +729,60 @@ def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-class _MetricBase:
-    """Shared label plumbing of all metric kinds."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help_text: str = "", labelnames: Sequence[str] = ()) -> None:
-        self.name = name
-        self.help = help_text
-        self.labelnames = tuple(labelnames)
-        self._lock = threading.Lock()
-        self._values: Dict[Tuple[str, ...], float] = {}
-
-    def _key(self, labels: Dict[str, object]) -> Tuple[str, ...]:
-        extra = set(labels) - set(self.labelnames)
-        if extra:
-            raise ValueError(
-                f"metric {self.name!r} has no label(s) {sorted(extra)}; "
-                f"declared: {list(self.labelnames)}"
-            )
-        return tuple(str(labels.get(name, "")) for name in self.labelnames)
-
-    def _label_suffix(self, key: Tuple[str, ...], extra: str = "") -> str:
-        pairs = [
-            f'{name}="{_escape_label(value)}"'
-            for name, value in zip(self.labelnames, key)
-        ]
-        if extra:
-            pairs.append(extra)
-        return "{" + ",".join(pairs) + "}" if pairs else ""
-
-    def samples(self) -> Dict[Tuple[str, ...], float]:
-        """Label-key -> value snapshot (counters and gauges)."""
-        with self._lock:
-            return dict(self._values)
-
-    def value(self, **labels: object) -> float:
-        """Current value for one label combination (0 if never touched)."""
-        return self.samples().get(self._key(labels), 0.0)
-
-    def expose_lines(self) -> List[str]:
-        lines = []
-        with self._lock:
-            items = sorted(self._values.items())
-        for key, value in items:
-            lines.append(f"{self.name}{self._label_suffix(key)} {_format_value(value)}")
-        return lines
-
-
-class Counter(_MetricBase):
-    """Monotonically increasing counter."""
-
-    kind = "counter"
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-
-class Gauge(_MetricBase):
-    """Value that can go up and down (set or adjusted)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-
 #: Latency-oriented default buckets, in seconds.
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
 
-class Histogram(_MetricBase):
-    """Cumulative histogram with ``_bucket``/``_sum``/``_count`` exposition."""
+class MetricFamily(NamedTuple):
+    """One metric family for :func:`render_exposition`.
 
-    kind = "histogram"
+    ``samples`` maps a tuple of label values (in ``labelnames`` order) to
+    the sample value.  A ``histogram`` sample is ``(bucket_counts, sum,
+    count)``: ``bucket_counts`` maps a bucket index to the observations in
+    that bucket alone (index ``len(buckets)`` lies above every edge).
+    """
 
-    def __init__(
-        self,
-        name: str,
-        help_text: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help_text, labelnames)
-        self.buckets = tuple(sorted(float(b) for b in buckets))
-        self._counts: Dict[Tuple[str, ...], List[int]] = {}
-        self._sums: Dict[Tuple[str, ...], float] = {}
-        self._totals: Dict[Tuple[str, ...], int] = {}
-
-    def observe(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            counts = self._counts.setdefault(key, [0] * len(self.buckets))
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[i] += 1
-            self._sums[key] = self._sums.get(key, 0.0) + float(value)
-            self._totals[key] = self._totals.get(key, 0) + 1
-
-    def count(self, **labels: object) -> int:
-        """Total observations for one label combination."""
-        with self._lock:
-            return self._totals.get(self._key(labels), 0)
-
-    def expose_lines(self) -> List[str]:
-        lines = []
-        with self._lock:
-            keys = sorted(self._totals)
-            counts = {k: list(v) for k, v in self._counts.items()}
-            sums = dict(self._sums)
-            totals = dict(self._totals)
-        for key in keys:
-            for bound, cumulative in zip(self.buckets, counts[key]):
-                suffix = self._label_suffix(key, f'le="{_format_value(bound)}"')
-                lines.append(f"{self.name}_bucket{suffix} {cumulative}")
-            inf_suffix = self._label_suffix(key, 'le="+Inf"')
-            lines.append(f"{self.name}_bucket{inf_suffix} {totals[key]}")
-            lines.append(
-                f"{self.name}_sum{self._label_suffix(key)} {_format_value(sums[key])}"
-            )
-            lines.append(f"{self.name}_count{self._label_suffix(key)} {totals[key]}")
-        return lines
+    name: str
+    kind: str
+    help: str
+    labelnames: Tuple[str, ...]
+    samples: Mapping[Tuple[str, ...], object]
+    buckets: Tuple[float, ...] = DEFAULT_BUCKETS
 
 
-class MetricsRegistry:
-    """Named metrics with get-or-create registration and text exposition."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._metrics: Dict[str, _MetricBase] = {}
-
-    def _get_or_create(self, cls, name: str, help_text: str, labelnames, **kwargs):
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls) or existing.labelnames != tuple(labelnames):
-                    raise ValueError(
-                        f"metric {name!r} already registered as {existing.kind} "
-                        f"with labels {list(existing.labelnames)}"
-                    )
-                return existing
-            metric = cls(name, help_text, labelnames, **kwargs)
-            self._metrics[name] = metric
-            return metric
-
-    def counter(
-        self, name: str, help_text: str = "", labelnames: Sequence[str] = ()
-    ) -> Counter:
-        """Get or create a counter."""
-        return self._get_or_create(Counter, name, help_text, labelnames)
-
-    def gauge(
-        self, name: str, help_text: str = "", labelnames: Sequence[str] = ()
-    ) -> Gauge:
-        """Get or create a gauge."""
-        return self._get_or_create(Gauge, name, help_text, labelnames)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        """Get or create a histogram."""
-        return self._get_or_create(
-            Histogram, name, help_text, labelnames, buckets=buckets
-        )
-
-    def get(self, name: str) -> Optional[_MetricBase]:
-        """Look a metric up by name (None if absent)."""
-        with self._lock:
-            return self._metrics.get(name)
-
-    def expose(self) -> str:
-        """Prometheus text exposition format of every registered metric."""
-        with self._lock:
-            metrics = sorted(self._metrics.items())
-        lines: List[str] = []
-        for name, metric in metrics:
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} {metric.kind}")
-            lines.extend(metric.expose_lines())
-        return "\n".join(lines) + ("\n" if lines else "")
+def _label_suffix(pairs: List[str]) -> str:
+    return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
-_GLOBAL_METRICS = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-global metrics registry."""
-    return _GLOBAL_METRICS
-
-
-def reset_metrics() -> MetricsRegistry:
-    """Replace the global registry with an empty one (tests)."""
-    global _GLOBAL_METRICS
-    _GLOBAL_METRICS = MetricsRegistry()
-    return _GLOBAL_METRICS
+def render_exposition(families: Iterable[MetricFamily]) -> str:
+    """Prometheus text exposition of ``families``, sorted by name."""
+    lines: List[str] = []
+    for family in sorted(families, key=lambda f: f.name):
+        name = family.name
+        if family.help:
+            lines.append(f"# HELP {name} {family.help}")
+        lines.append(f"# TYPE {name} {family.kind}")
+        for key, value in sorted(family.samples.items()):
+            pairs = [
+                f'{label}="{_escape_label(str(part))}"'
+                for label, part in zip(family.labelnames, key)
+            ]
+            if family.kind != "histogram":
+                lines.append(f"{name}{_label_suffix(pairs)} {_format_value(value)}")
+                continue
+            bucket_counts, total, count = value
+            cumulative = 0
+            for index, edge in enumerate(family.buckets):
+                cumulative += bucket_counts.get(index, 0)
+                edge_pair = f'le="{_format_value(edge)}"'
+                lines.append(
+                    f"{name}_bucket{_label_suffix(pairs + [edge_pair])} {cumulative}"
+                )
+            inf_suffix = _label_suffix(pairs + ['le="+Inf"'])
+            lines.append(f"{name}_bucket{inf_suffix} {_format_value(count)}")
+            lines.append(f"{name}_sum{_label_suffix(pairs)} {_format_value(total)}")
+            lines.append(f"{name}_count{_label_suffix(pairs)} {_format_value(count)}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,21 @@ class TestOpStore:
         assert store.exists()
         assert OpCostCache(path=store).get(("k",)) == _op_cost()
 
+    def test_vector_op_records_are_skipped_and_compacted_away(self, tmp_path):
+        """Stores written while vector costs were cached hold records no
+        lookup reads: loading skips them and compaction drops them."""
+        store = tmp_path / "ops.jsonl"
+        writer = OpCostCache(path=store)
+        writer.put(("matrix",), _op_cost(0))
+        writer.put(("vector",), OpCost(op_name="add", op_type=OpType.ELEMENTWISE_ADD))
+        assert len(store.read_text().splitlines()) == 2
+        cache = OpCostCache(path=store)
+        assert len(cache) == 1
+        assert cache.stats.corrupt_records == 0
+        assert cache.get(("matrix",)) == _op_cost(0)
+        assert cache.compact() == 1
+        assert len(store.read_text().splitlines()) == 1
+
     def test_len_counts_each_key_once_across_memory_and_store(self, tmp_path):
         store = tmp_path / "ops.jsonl"
         OpCostCache(path=store).put(("on-disk",), _op_cost(0))

@@ -140,7 +140,7 @@ class TestRemoteEquivalence:
         assert [trial_metrics_to_dict(m) for m in remote.history] == [
             trial_metrics_to_dict(m) for m in local.history
         ]
-        assert service.stats.fingerprint_rejections == 0
+        assert service.health_snapshot()["fingerprint_rejections"] == 0
 
     def test_order_preserved_with_single_trial_chunks(self, flaky_service):
         service, plan = flaky_service
@@ -314,7 +314,7 @@ class TestServiceProtocol:
         assert excinfo.value.code == 409
         body = json.loads(excinfo.value.read())
         assert body["client_fingerprint"] == "not-the-real-fingerprint"
-        assert service.stats.fingerprint_rejections == 1
+        assert service.health_snapshot()["fingerprint_rejections"] == 1
 
     def test_malformed_request_is_a_client_error(self, flaky_service):
         service, _ = flaky_service

@@ -16,6 +16,7 @@ import json
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -33,13 +34,15 @@ from repro.runtime.service import EvaluationService
 from repro.runtime.telemetry import (
     NULL_SPAN,
     CounterStore,
-    MetricsRegistry,
+    MetricFamily,
     SpanRecord,
     Tracer,
     apply_telemetry_config,
     configure_tracer,
+    get_counters,
     get_tracer,
     load_trace,
+    render_exposition,
     set_tracer,
     telemetry_config,
     write_chrome_trace,
@@ -49,11 +52,10 @@ from repro.runtime.telemetry import (
 
 @pytest.fixture(autouse=True)
 def _isolated_telemetry():
-    """Restore the global tracer and metrics registry after every test."""
+    """Restore the global tracer after every test."""
     saved = telemetry.get_tracer()
     yield
     telemetry.set_tracer(saved)
-    telemetry.reset_metrics()
 
 
 def _problem():
@@ -281,22 +283,27 @@ class TestSummarizeTrace:
 # ---------------------------------------------------------------------------
 class TestMetrics:
     def test_exposition_golden(self):
-        registry = MetricsRegistry()
-        requests = registry.counter(
-            "repro_requests_total", "Total requests.", labelnames=("route", "status")
-        )
-        requests.inc(route="/evaluate", status="200")
-        requests.inc(2, route="/health", status="200")
-        registry.gauge("repro_uptime_seconds", "Uptime.").set(12.5)
-        latency = registry.histogram(
-            "repro_latency_seconds",
-            "Latency.",
-            labelnames=("route",),
-            buckets=(1.0, 5.0),
-        )
-        latency.observe(0.5, route="/evaluate")
-        latency.observe(2.0, route="/evaluate")
-        assert registry.expose() == (
+        # Two latency observations, 0.5 s and 2.0 s: one in each bucket.
+        latency = {("/evaluate",): ({0: 1, 1: 1}, 2.5, 2)}
+        families = [
+            MetricFamily(
+                "repro_requests_total",
+                "counter",
+                "Total requests.",
+                ("route", "status"),
+                {("/evaluate", "200"): 1, ("/health", "200"): 2},
+            ),
+            MetricFamily("repro_uptime_seconds", "gauge", "Uptime.", (), {(): 12.5}),
+            MetricFamily(
+                "repro_latency_seconds",
+                "histogram",
+                "Latency.",
+                ("route",),
+                latency,
+                buckets=(1.0, 5.0),
+            ),
+        ]
+        assert render_exposition(families) == (
             "# HELP repro_latency_seconds Latency.\n"
             "# TYPE repro_latency_seconds histogram\n"
             'repro_latency_seconds_bucket{route="/evaluate",le="1"} 1\n'
@@ -314,21 +321,8 @@ class TestMetrics:
         )
 
     def test_label_escaping(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c_total", labelnames=("v",))
-        counter.inc(v='a"b\\c\nd')
-        assert 'c_total{v="a\\"b\\\\c\\nd"} 1' in registry.expose()
-
-    def test_counters_are_monotonic_and_labels_checked(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c_total", labelnames=("route",))
-        with pytest.raises(ValueError):
-            counter.inc(-1, route="/x")
-        with pytest.raises(ValueError):
-            counter.inc(bogus="label")
-        with pytest.raises(ValueError):  # kind mismatch on re-registration
-            registry.gauge("c_total", labelnames=("route",))
-        assert registry.counter("c_total", labelnames=("route",)) is counter
+        family = MetricFamily("c_total", "counter", "", ("v",), {('a"b\\c\nd',): 1})
+        assert 'c_total{v="a\\"b\\\\c\\nd"} 1' in render_exposition([family])
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +456,103 @@ class TestSearchIntegration:
             after = op_misses(service.url)
         assert result.runtime.remote_fallbacks == 0
         assert after > before
+
+
+# ---------------------------------------------------------------------------
+# Service /metrics and /health from the counter stores
+# ---------------------------------------------------------------------------
+class TestServiceMetrics:
+    def test_metrics_expose_worker_restarts_and_agree_with_health(self):
+        """``/metrics`` shows the process store's pool restarts, and its
+        per-route request counts are the ones ``/health`` reports."""
+
+        def get(url):
+            try:
+                with urllib.request.urlopen(url, timeout=10) as reply:
+                    return reply.read().decode()
+            except urllib.error.HTTPError as error:
+                return error.read().decode()
+
+        def settle(service, handled):
+            # A request is counted after its reply is written.
+            deadline = time.monotonic() + 10
+            while sum(service.health_snapshot()["requests_by_route"].values()) < handled:
+                assert time.monotonic() < deadline, service.health_snapshot()
+                time.sleep(0.01)
+
+        get_counters().add("worker_restarts")
+        with EvaluationService() as service:
+            for route in ("/health", "/health", "/nope", "/scoreboard"):
+                get(service.url + route)
+            settle(service, 4)
+            exposition = get(service.url + "/metrics")
+            settle(service, 5)
+            health = json.loads(get(service.url + "/health"))
+
+        samples = {}
+        for line in exposition.splitlines():
+            if line and not line.startswith("#"):
+                name_part, value = line.rsplit(" ", 1)
+                samples[name_part] = float(value)
+        assert "# TYPE repro_worker_restarts_total counter" in exposition
+        assert samples["repro_worker_restarts_total"] >= 1
+
+        by_route = {}
+        for name_part, value in samples.items():
+            if name_part.startswith("repro_service_requests_total{"):
+                route = name_part.split('route="', 1)[1].split('"', 1)[0]
+                by_route[route] = by_route.get(route, 0) + value
+        assert by_route == {"/health": 2, "/nope": 1, "/scoreboard": 1}
+        by_route["/metrics"] = 1  # the scrape itself, counted before /health
+        assert health["requests_by_route"] == by_route
+
+        edges = {
+            name_part.split('le="', 1)[1].rstrip('"}')
+            for name_part in samples
+            if name_part.startswith('repro_service_request_seconds_bucket{route="/nope"')
+        }
+        assert edges == {
+            "0.001", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25", "0.5",
+            "1", "2.5", "5", "10", "+Inf",
+        }
+
+    def test_latency_on_a_bucket_edge_counts_in_that_bucket(self):
+        with EvaluationService() as service:
+            service.observe_request("/x", "GET", 200, 0.005)
+            exposition = service.metrics_exposition()
+        assert 'repro_service_request_seconds_bucket{route="/x",le="0.001"} 0' in exposition
+        assert 'repro_service_request_seconds_bucket{route="/x",le="0.005"} 1' in exposition
+        assert 'repro_service_request_seconds_bucket{route="/x",le="+Inf"} 1' in exposition
+        assert 'repro_service_request_seconds_count{route="/x"} 1' in exposition
+
+    def test_concurrent_handler_counts_are_not_lost(self):
+        """Handler threads count requests and errors at once: every update
+        lands in both ``/health`` and ``/metrics``."""
+        with EvaluationService() as service:
+
+            def work():
+                for _ in range(300):
+                    service.observe_request("/r", "POST", 400, 0.002)
+                    assert service.evaluate_payload({})[0] == 400  # counts an error
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            health = service.health_snapshot()
+            exposition = service.metrics_exposition()
+        assert health["errors"] == 2400
+        assert health["requests_by_route"] == {"/r": 2400}
+        assert "repro_service_errors 2400" in exposition
+        assert 'repro_service_request_seconds_count{route="/r"} 2400' in exposition
+        assert 'repro_service_request_seconds_bucket{route="/r",le="0.005"} 2400' in exposition
 
 
 # ---------------------------------------------------------------------------
